@@ -159,7 +159,10 @@ REPLICATION_THROUGHPUT_SMOKE_GATE = 0.2
 #: bar only applies when the box can actually host the fleet
 #: (``cpu_count >= workers + 2``) — on a starved runner both pools
 #: timeshare one core and the p50 delta measures scheduler jitter, not
-#: routing arithmetic; the harness still measures and reports.
+#: routing arithmetic; the harness still measures and reports.  The
+#: same bar gates the *router hop* — the routed click p50 over the same
+#: walk sent straight to one worker's port — on every host: one hop's
+#: latency is not a throughput claim, so it gets no core waiver.
 REPLICATION_SPACES_OVERHEAD_GATE_MS = 2.0
 REPLICATION_SPACES_OVERHEAD_SMOKE_GATE_MS = 5.0
 ARENA_CACHE_WARM_GATE = 3.0
@@ -1341,13 +1344,16 @@ def measure_replication(workers: int, sessions: int, clicks: int) -> dict:
 
 
 def measure_replication_spaces(workers: int, clicks: int) -> dict:
-    """The registry-composed replicated tier vs its single-space twin.
+    """The two-space replicated tier vs a one-space fleet and one worker.
 
-    Two claims from the PR 9 composition.  *Routed overhead*: a click
-    through ``MultiSpaceWorkerPool`` (composed ``w<i>-<space>-s0001``
-    ids, per-space forwarding) must sit within a small constant of the
-    single-space ``WorkerPool`` click p50 over the *same* space and
-    fleet size — gated.  *Warm boot*: re-creating a space's arena from
+    Three claims.  *Routed overhead*: a click through a two-space pool
+    (composed ``w<i>-<space>-s0001`` ids, per-space forwarding) must sit
+    within a small constant of the one-space fleet's click p50 over the
+    *same* space and fleet size — gated.  *Router hop*: the same walk
+    through the router must sit within the same constant of the walk
+    sent straight to one worker's port — gated on every host, since one
+    hop's latency is not a throughput claim.  *Warm boot*: re-creating a
+    space's arena from
     the ``--arena-cache`` snapshot (mmap + verified attach + zero-copy
     runtime) must beat the cold path it replaces (discovery + index
     build + publish) by a gated factor; dataset synthesis is excluded
@@ -1402,8 +1408,33 @@ def measure_replication_spaces(workers: int, clicks: int) -> dict:
                 displays.append([group.gid for group in shown])
             return statistics.median(samples), displays
 
+    def paired_walk(service):
+        """The scripted walk through the router and straight to w0."""
+        ports = (service.port, service.pool.replicas[0].port)
+        with ExplorationClient(service.host, ports[0]) as routed, \
+                ExplorationClient(service.host, ports[1]) as direct:
+            clients = (routed, direct)
+            opened = [client.open() for client in clients]
+            shown = [o.display for o in opened]
+            seen: tuple[set, set] = (set(), set())
+            samples: tuple[list, list] = ([], [])
+            displays: tuple[list, list] = ([], [])
+            for step in range(clicks):
+                for arm in ((0, 1) if step % 2 == 0 else (1, 0)):
+                    gid = scripted_click_gid(shown[arm], seen[arm])
+                    started = time.perf_counter()
+                    shown[arm] = clients[arm].click(
+                        opened[arm].session_id, gid
+                    )
+                    samples[arm].append(
+                        (time.perf_counter() - started) * 1000.0
+                    )
+                    displays[arm].append([group.gid for group in shown[arm]])
+        return samples, displays
+
     sweep_orphans(tag)
     sweep_orphans(f"{tag}m")
+    sweep_orphans(f"{tag}h")
     try:
         with tempfile.TemporaryDirectory(prefix="bench-spaces-") as scratch:
             # -- single-space replicated baseline ------------------------
@@ -1464,6 +1495,33 @@ def measure_replication_spaces(workers: int, clicks: int) -> dict:
             finally:
                 composed.stop()
 
+            # -- the router hop: routed vs straight to the worker --------
+            # In-memory sessions: a per-click checkpoint fsync jitters by
+            # more than the hop costs.  One worker, so both arms walk the
+            # same replica, click by click in alternating order so drift
+            # hits both arms alike; three walks pool the samples.
+            hop = serve_replicated(
+                space.dataset,
+                space,
+                index,
+                workers=1,
+                tag=f"{tag}h",
+                space_name="bench",
+                default_config=config,
+            )
+            try:
+                paired_walk(hop)  # warmup: both arms then hit warm caches
+                hop_samples: tuple[list, list] = ([], [])
+                for _ in range(3):
+                    samples, hop_displays = paired_walk(hop)
+                    for arm, values in zip(hop_samples, samples):
+                        arm.extend(values)
+                routed_p50, direct_p50 = (
+                    statistics.median(arm) for arm in hop_samples
+                )
+            finally:
+                hop.stop()
+
         # -- arena-cache warm boot vs cold publish -----------------------
         with tempfile.TemporaryDirectory(prefix="bench-arena-cache-") as cache:
             started = time.perf_counter()
@@ -1506,6 +1564,7 @@ def measure_replication_spaces(workers: int, clicks: int) -> dict:
     finally:
         sweep_orphans(tag)
         sweep_orphans(f"{tag}m")
+        sweep_orphans(f"{tag}h")
 
     return {
         "workers": workers,
@@ -1514,12 +1573,16 @@ def measure_replication_spaces(workers: int, clicks: int) -> dict:
         "single_replicated_click_p50_ms": round(single_p50, 3),
         "spaces_replicated_click_p50_ms": round(spaces_p50, 3),
         "routed_overhead_p50_ms": round(spaces_p50 - single_p50, 3),
+        "routed_worker_click_p50_ms": round(routed_p50, 3),
+        "direct_worker_click_p50_ms": round(direct_p50, 3),
+        "router_hop_p50_ms": round(routed_p50 - direct_p50, 3),
         "cold_publish_ms": round(cold_ms, 1),
         "warm_boot_ms": round(warm_ms, 1),
         "warm_boot_speedup": round(cold_ms / max(warm_ms, 1e-9), 1),
         "parity": (
             single_displays == oracle
             and spaces_displays == oracle
+            and hop_displays == (oracle, oracle)
             and warm_start == solo_start
         ),
     }
@@ -1882,6 +1945,13 @@ def main() -> int:
             f"{spaces_repl['cpu_count']} cores cannot host "
             f"{spaces_repl['workers']} workers + router + clients"
         )
+    print(
+        f"replication spaces: the router hop adds "
+        f"{spaces_repl['router_hop_p50_ms']:+.2f} ms to the click p50 "
+        f"{spaces_repl['direct_worker_click_p50_ms']:.2f} ms sent straight "
+        f"to one worker (gate {spaces_repl_gate:.0f} ms, no core waiver)"
+    )
+    ok = ok and spaces_repl["router_hop_p50_ms"] <= spaces_repl_gate
     ok = ok and spaces_repl["warm_boot_speedup"] >= warm_gate
     print(f"parity: {report['parity']}  ->  {'OK' if ok else 'REGRESSION'}")
     return 0 if ok else 1

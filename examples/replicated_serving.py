@@ -1,12 +1,15 @@
 """Replicated serving: N worker processes, M concurrent analysts.
 
-Boots a worker pool over one group space — each worker is a separate
+Boots a worker pool over one group space — a one-space registry fleet,
+the same pool that serves a whole manifest: each worker is a separate
 process attached zero-copy to the shared-memory arena holding the
-space's immutable artifacts — then walks the whole story: concurrent
+space's immutable artifacts, and session ids read
+``w<worker>-<space>-s0001`` — then walks the whole story: concurrent
 analysts spread across workers by the sticky router; a live store
 mutation published mid-run (every worker rebinds to the new epoch
 while open sessions stay pinned to theirs); replica health through
-``/healthz``; and a graceful stop that drains every session durably.
+``/healthz`` (per-space epochs under each replica's ``spaces``); and a
+graceful stop that drains every session durably.
 
 Run:  python examples/replicated_serving.py
 
@@ -14,7 +17,7 @@ Against a long-running deployment::
 
     python -m repro serve --http --workers 4 \
         --actions data/actions.csv --store store/ \
-        --state-dir store/sessions --port 8765
+        --state-dir store/sessions --idle-ttl 900 --port 8765
 
     >>> from repro.service import ExplorationClient
     >>> client = ExplorationClient("127.0.0.1", 8765)
@@ -74,9 +77,11 @@ def main() -> None:
         space_name="dm-authors",
         default_config=SessionConfig(k=5, time_budget_ms=100.0),
     )
+    # serve_replicated returns once every worker has mapped the space,
+    # so the first open below never sees a 202 "building" reply.
     print(
         f"{WORKERS} workers serving {len(space)} groups on {service.url} "
-        f"(arena segments: {service.pool.stats()['segments']})"
+        f"(arena segments: {service.pool.stats()['segments']['dm-authors']})"
     )
     try:
         # ---------------------------- M analysts, concurrently, mid-mutation
@@ -111,11 +116,13 @@ def main() -> None:
         # ------------------------------------------------- replica health
         with ExplorationClient(service.host, service.port) as probe:
             for row in probe.replicas():
+                epoch = row["spaces"]["dm-authors"]["epoch"]
                 print(
                     f"  worker {row['index']}: pid {row['pid']} "
-                    f"port {row['port']} epoch {row['epoch']} "
+                    f"port {row['port']} epoch {epoch} "
                     f"{'alive' if row['alive'] else 'dead'}"
                 )
+                assert epoch == report["epoch"]
     finally:
         service.stop()  # drains every live session durably, unlinks arenas
     print("done")

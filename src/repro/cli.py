@@ -523,27 +523,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
             print("--spaces and --store/--actions are mutually exclusive; "
                   "the manifest names every space's data", file=sys.stderr)
             return 2
-        if args.workers is not None:
-            if args.workers < 1:
-                print("--workers must be >= 1", file=sys.stderr)
-                return 2
-            if args.max_ready is not None:
-                print("--max-ready does not compose with --workers (the "
-                      "replicated registry keeps every built space "
-                      "resident)", file=sys.stderr)
-                return 2
-            return _serve_pool_spaces(args)
-        if args.arena_cache is not None:
-            print("--arena-cache needs --workers (the cache snapshots "
-                  "published arena segments)", file=sys.stderr)
-            return 2
-        return _serve_spaces(args)
-    if args.arena_cache is not None:
-        print("--arena-cache needs --spaces (single-space pools rebuild "
-              "from the store directly)", file=sys.stderr)
-        return 2
-    if args.max_ready is not None:
-        print("--max-ready needs --spaces", file=sys.stderr)
+    elif args.store is None or args.actions is None:
+        print("serve needs --store and --actions (or --http --spaces)",
+              file=sys.stderr)
         return 2
     if args.workers is not None:
         if args.workers < 1:
@@ -552,13 +534,22 @@ def cmd_serve(args: argparse.Namespace) -> int:
         if not args.http:
             print("--workers needs --http", file=sys.stderr)
             return 2
-    if args.store is None or args.actions is None:
-        print("serve needs --store and --actions (or --http --spaces)",
-              file=sys.stderr)
+        if args.max_ready is not None:
+            print("--max-ready does not compose with --workers (the "
+                  "replicated registry keeps every built space "
+                  "resident)", file=sys.stderr)
+            return 2
+        return _serve_pool_spaces(args)
+    if args.arena_cache is not None:
+        print("--arena-cache needs --workers (the cache snapshots "
+              "published arena segments)", file=sys.stderr)
+        return 2
+    if args.spaces is not None:
+        return _serve_spaces(args)
+    if args.max_ready is not None:
+        print("--max-ready needs --spaces", file=sys.stderr)
         return 2
     dataset = _load(args)
-    if args.workers is not None:
-        return _serve_pool(args, dataset)
     started = time.perf_counter()
     runtime = GroupSpaceRuntime.from_store(
         dataset, args.store, share_cache=not args.no_shared_cache
@@ -689,87 +680,47 @@ def _install_drain_handlers() -> "object":
     return stop
 
 
-def _serve_pool(args: argparse.Namespace, dataset) -> int:
-    """Replicated serving: N spawned workers behind a sticky router."""
-    from repro.replication import serve_replicated
-
-    if args.idle_ttl is not None:
-        print("--idle-ttl is not supported with --workers yet",
-              file=sys.stderr)
-        return 2
-    started = time.perf_counter()
-    runtime = GroupSpaceRuntime.from_store(
-        dataset, args.store, share_cache=False
-    )
-    build_ms = (time.perf_counter() - started) * 1000.0
-    service = serve_replicated(
-        dataset,
-        runtime.space,
-        runtime.index,
-        workers=args.workers,
-        host=args.host,
-        port=args.port,
-        tag=dataset.name,
-        state_dir=args.state_dir,
-        durability="journal" if args.journal else "snapshot",
-        compact_every=args.compact_every,
-        default_config=SessionConfig(
-            k=args.k, time_budget_ms=args.budget_ms, use_profile=False
-        ),
-        max_sessions=args.max_sessions,
-        space_name=dataset.name,
-        metrics=args.metrics == "on",
-        slow_click_ms=args.slow_click_ms,
-    )
-    durable = (
-        f"durable ({service.pool.durability}, state in "
-        f"{service.pool.state_dir})"
-        if service.pool.state_dir is not None
-        else "in-memory sessions"
-    )
-    print(f"serving on {service.url}", flush=True)
-    print(
-        f"artifacts loaded in {build_ms:.0f} ms: "
-        f"{len(runtime.space)} groups, {args.workers} workers attached "
-        f"zero-copy from shared memory, {durable}",
-        flush=True,
-    )
-    stop = _install_drain_handlers()
-    try:
-        stop.wait()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        # pool.stop() drains each worker over /internal/drain — every
-        # worker checkpoints its live sessions before exiting.
-        service.stop()
-    print("service stopped")
-    return 0
-
-
 def _serve_pool_spaces(args: argparse.Namespace) -> int:
-    """Replicated multi-space hosting: the full registry behind N workers.
+    """Replicated serving: a space registry behind N workers.
 
-    The composed tier: the parent registry materializes manifest spaces
-    lazily (clients see the familiar 202 + Retry-After while a space
-    builds), publishes each build as a shared-memory arena, and every
-    worker process serves *all* spaces from those arenas under composed
-    ``w<i>-<space>-s0001`` session ids.  ``--arena-cache`` additionally
+    The parent registry materializes each space (clients see the
+    familiar 202 + Retry-After while a manifest space builds lazily),
+    publishes each build as a shared-memory arena, and every worker
+    process serves *all* spaces from those arenas under composed
+    ``w<i>-<space>-s0001`` session ids.  ``--store`` serves one space
+    named ``--name`` and loads it before announcing the port, so its
+    first open never waits on a build.  ``--arena-cache`` additionally
     snapshots each published payload to disk so the next boot of the
-    same manifest mmap-loads instead of re-running discovery.
+    same spaces mmap-loads instead of re-running discovery.
     """
-    from pathlib import Path
-
     from repro.replication import serve_replicated_spaces
-    from repro.spaces import load_manifest
+    from repro.spaces import SpaceDescriptor, load_manifest
 
-    descriptors = load_manifest(args.spaces)
+    if args.spaces is not None:
+        descriptors = load_manifest(args.spaces)
+        tag = Path(args.spaces).stem
+    else:
+        try:
+            descriptors = [
+                SpaceDescriptor(
+                    name=args.name,
+                    dataset=args.name,
+                    store=args.store,
+                    actions=args.actions,
+                    demographics=args.demographics,
+                )
+            ]
+        except ValueError as error:
+            print(f"--name names the served space: {error}", file=sys.stderr)
+            return 2
+        tag = args.name
+    started = time.perf_counter()
     service = serve_replicated_spaces(
         descriptors,
         workers=args.workers,
         host=args.host,
         port=args.port,
-        tag=Path(args.spaces).stem,
+        tag=tag,
         state_dir=args.state_dir,
         durability="journal" if args.journal else "snapshot",
         compact_every=args.compact_every,
@@ -783,6 +734,18 @@ def _serve_pool_spaces(args: argparse.Namespace) -> int:
         slow_click_ms=args.slow_click_ms,
     )
     pool = service.pool
+    try:
+        if args.spaces is None:
+            runtime = pool.registry.runtime(args.name, wait=True)
+            built = (
+                f"{len(runtime.space)} groups loaded in "
+                f"{(time.perf_counter() - started) * 1000.0:.0f} ms"
+            )
+        else:
+            built = "spaces build lazily on first open"
+    except BaseException:
+        service.stop()
+        raise
     durable = (
         f"durable ({pool.durability}, state in {pool.state_dir})"
         if pool.state_dir is not None
@@ -798,8 +761,7 @@ def _serve_pool_spaces(args: argparse.Namespace) -> int:
         f"hosting {len(pool.registry.names())} spaces "
         f"({', '.join(pool.registry.names())}; default "
         f"{pool.registry.default_space}) on {args.workers} workers, "
-        f"{durable}{cache}; spaces build lazily on first open and "
-        "publish to shared memory",
+        f"{durable}{cache}; {built}, published to shared memory",
         flush=True,
     )
     stop = _install_drain_handlers()

@@ -2,19 +2,18 @@
 
 The serving tier from this package multiplies the single-process stack
 across N ``spawn``-started workers without multiplying its memory or
-startup cost: each epoch's immutable artifacts (membership CSR, the
-similarity index's flat prefix/reserve arrays) are serialized once into
-a content-addressed ``multiprocessing.shared_memory`` segment
+startup cost: each ``(space, epoch)``'s immutable artifacts (membership
+CSR, the similarity index's flat prefix/reserve arrays) are serialized
+once into a content-addressed ``multiprocessing.shared_memory`` segment
 (:mod:`~repro.replication.arena`) and mapped read-only by every replica
-(:mod:`~repro.replication.worker`), while a sticky router
-(:mod:`~repro.replication.pool`) pins each session's walk to the worker
-holding its in-memory state and fails resumes over to any live replica
-via the shared journal directory.  :class:`MultiSpaceWorkerPool`
-composes the tier with the space registry: one fleet serves every space
-in a manifest, publishing one arena per ``(space, epoch)`` and minting
-``w<i>-<space>-s0001`` ids so routing works per ``(space, worker)``;
-published payloads can additionally be snapshotted to disk
-(``arena_cache``) and mmap-loaded on the next boot.
+(:mod:`~repro.replication.worker`).  One pool,
+:class:`MultiSpaceWorkerPool` (:mod:`~repro.replication.pool`), fronts a
+space registry — one space or many — and its sticky router pins each
+session's walk to the worker holding its in-memory state (session ids
+are ``w<i>-<space>-s0001``) and fails resumes over to any live replica
+via the shared journal directory.  :func:`serve_replicated` is the
+one-space case; published payloads can additionally be snapshotted to
+disk (``arena_cache``) and mmap-loaded on the next boot.
 """
 
 from repro.replication.arena import (
@@ -35,17 +34,12 @@ from repro.replication.arena import (
 from repro.replication.pool import (
     MultiSpaceWorkerPool,
     ReplicatedService,
-    WorkerPool,
     WorkerUnavailable,
     compile_reference_pattern,
     serve_replicated,
     serve_replicated_spaces,
 )
-from repro.replication.worker import (
-    SpaceWorkerControl,
-    WorkerControl,
-    worker_main,
-)
+from repro.replication.worker import SpaceWorkerControl
 
 __all__ = [
     "ARENA_PREFIX",
@@ -55,8 +49,6 @@ __all__ = [
     "PublishedArena",
     "ReplicatedService",
     "SpaceWorkerControl",
-    "WorkerControl",
-    "WorkerPool",
     "WorkerUnavailable",
     "arena_cache_path",
     "arena_name",
@@ -70,5 +62,4 @@ __all__ = [
     "serve_replicated_spaces",
     "sweep_orphans",
     "unlink_arena",
-    "worker_main",
 ]

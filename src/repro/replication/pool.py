@@ -1,21 +1,20 @@
-"""The parent tier: publish arenas, spawn replicas, route sticky traffic.
+"""The parent tier: build spaces, publish arenas, spawn replicas, route.
 
-:class:`WorkerPool` owns the authoritative
-:class:`~repro.core.runtime.GroupSpaceRuntime` (mutations apply here
-first), serializes each epoch's artifacts into a shared-memory arena
-(:mod:`repro.replication.arena`), and keeps N ``spawn``-started worker
-processes attached to the current arena — each one a full
-``SessionManager`` + HTTP service minting ids under its own ``w<i>-``
-prefix.  :class:`MultiSpaceWorkerPool` is the same fleet fronting a full
-:class:`~repro.spaces.registry.SpaceRegistry`: the parent lazily
-materializes each named space (202 + Retry-After while building, exactly
-as the single-process registry front does), publishes one arena per
-``(space, epoch)`` under a per-space tag, and each worker runs a
-*registry* of arena-attached runtimes — session ids compose the worker
-tag and the space prefix (``w<i>-<space>-s0001``) so sticky routing,
+:class:`MultiSpaceWorkerPool` is the one replica fleet.  The parent
+hosts the authoritative :class:`~repro.spaces.registry.SpaceRegistry`
+(mutations apply here first): each named space materializes lazily on
+the registry's build workers (202 + Retry-After while building, exactly
+as the single-process registry front does), and the build's last step
+serializes the runtime's artifacts into a shared-memory arena
+(:mod:`repro.replication.arena`) under a per-space tag.  N
+``spawn``-started worker processes map those arenas — each one a
+registry of arena-attached runtimes behind the stock HTTP service,
+minting session ids ``w<i>-<space>-s0001`` so sticky routing,
 journal-tail takeover and durable eviction all route by ``(space,
-worker)``.  :class:`ReplicatedService` is the HTTP router in front of
-either pool:
+worker)``.  A single-space deployment is a one-descriptor fleet:
+:func:`serve_replicated` builds it and waits for the space, so its
+opens never see a 202.  :class:`ReplicatedService` is the HTTP router
+in front of the pool:
 
 - *sticky routing*: session ids and resume tokens start with the minting
   worker's tag, so every verb of a walk lands on the replica holding its
@@ -24,17 +23,17 @@ either pool:
   replica — all workers share one state directory, so the PR 6 journal
   tail replays there and the walk continues field-identical;
 - *mutation*: ``POST /spaces/<name>/mutate`` applies the delta on the
-  parent runtime, publishes the new epoch's arena, and broadcasts
-  ``rebind`` to every worker (each invalidates its own stale
-  fingerprints); segments aged out of the retention window are unlinked
-  (mapped copies in pinned workers stay valid).  In registry mode only
-  the named space's arena is republished and rebound;
+  parent's runtime of that space, publishes the new epoch's arena, and
+  broadcasts ``rebind`` to every worker (each invalidates its own stale
+  fingerprints); segments aged out of the space's retention window are
+  unlinked (mapped copies in pinned workers stay valid), and every
+  other space keeps serving untouched;
 - *health*: ``/healthz`` and ``/spaces`` aggregate per-replica liveness,
-  epoch, and session counts.
+  per-space epochs, and session counts.
 
 A worker that stops answering is marked dead, the request that noticed
 gets a typed 503 with ``Retry-After`` (the stock client retries), and a
-replacement is respawned onto the current arena(s) with bounded backoff
+replacement is respawned onto the current arenas with bounded backoff
 in the background.  Consecutive respawn failures are surfaced per
 replica on ``/healthz`` and scale the 503's ``Retry-After`` so a load
 balancer can tell a blip from a crash loop.
@@ -45,7 +44,6 @@ from __future__ import annotations
 import base64
 import http.client
 import json
-import math
 import multiprocessing
 import pickle
 import re
@@ -54,10 +52,8 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import partial
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Optional
-from urllib.parse import parse_qs
 
 from repro.obs import (
     TRACE_HEADER,
@@ -66,7 +62,6 @@ from repro.obs import (
     label_dump,
     merge_dumps,
     render_dump,
-    span,
 )
 from repro.replication.arena import (
     PublishedArena,
@@ -77,13 +72,9 @@ from repro.replication.arena import (
     sweep_orphans,
 )
 from repro.replication.worker import _worker_entry
+from repro.service.server import JsonHandler, _BadRequest, _Server, parse_mutation
 from repro.spaces.descriptor import SpaceDescriptor
-from repro.spaces.registry import (
-    SpaceBuildError,
-    SpaceBuildingError,
-    SpaceNotFoundError,
-    SpaceRegistry,
-)
+from repro.spaces.registry import SpaceRegistry
 
 #: Space names shaped like a worker tag would make ``w1-eval-s0001``
 #: unparseable (worker 1 of space ``eval``, or some worker of space
@@ -112,14 +103,13 @@ def compile_reference_pattern(
 ) -> "re.Pattern[str]":
     """The anchored sticky-routing pattern for session ids / tokens.
 
-    Session ids are ``w<index>-s0001`` (single-space pools) or
-    ``w<index>-<space>-s0001`` (registry pools); resume tokens append
-    ``-<hex12>``.  The pattern anchors the full shape — worker tag,
-    then (for registry pools) one of the *known* space names escaped
-    literally, then the session counter — instead of grabbing any
-    leading ``w<digits>-``, so a reference that merely *starts* like a
-    worker tag is never misrouted.  Known names are alternated
-    longest-first so a space whose name extends another's
+    Session ids are ``w<index>-<space>-s0001`` (``w<index>-s0001`` when
+    no space names are given); resume tokens append ``-<hex12>``.  The
+    pattern anchors the full shape — worker tag, then one of the *known*
+    space names escaped literally, then the session counter — instead of
+    grabbing any leading ``w<digits>-``, so a reference that merely
+    *starts* like a worker tag is never misrouted.  Known names are
+    alternated longest-first so a space whose name extends another's
     (``eval`` / ``eval-extra``) resolves to the longest literal match.
     """
     if space_names:
@@ -169,8 +159,6 @@ class _Replica:
     process: multiprocessing.process.BaseProcess
     port: int
     pid: int
-    epoch: int = -1
-    digest: str = ""
     spaces: dict = field(default_factory=dict)
     alive: bool = True
     restarts: int = 0
@@ -204,33 +192,91 @@ def _post(
         connection.close()
 
 
-class _ReplicaFleet:
-    """Shared replica machinery: spawn, respawn-with-backoff, routing.
+class MultiSpaceWorkerPool:
+    """A replica fleet fronting a space registry (one space or many).
 
-    Subclasses provide ``_spec`` (the boot material one worker needs),
-    ``_release`` (parent-side artifact teardown after the fleet is
-    reaped) and the health-row describe/merge hooks; everything about
-    process lifecycle, sticky routing and failure accounting lives here
-    so the single-space and registry pools cannot drift apart.
+    The parent hosts the authoritative :class:`SpaceRegistry`: spaces
+    materialize lazily on its build workers (serving threads see the
+    registry's usual 202-building / 404 / sticky-500 ladder through the
+    router), and the build's last step publishes the runtime's artifacts
+    as a shared-memory arena under the per-space tag
+    ``{pool_tag}_{space}`` and broadcasts an ``attach_space`` to every
+    live worker.  Workers host their *own* registries of arena-attached
+    runtimes — each space's manager mints ids ``w<i>-<space>-s0001`` —
+    so one fleet serves every space without N×M rebuild cost, and a
+    mutation republishes and rebinds only the space it names.
+
+    With ``arena_cache`` set, every published payload is also serialized
+    to ``<dir>/<space_tag>.arena``; the next cold boot mmap-loads the
+    file back into a segment and skips discovery + index construction
+    entirely (builder-backed spaces are exempt — they have no standalone
+    dataset recipe to bounds-check a cached arena against).
     """
 
-    # -- construction ----------------------------------------------------
-
-    def _init_fleet(
+    def __init__(
         self,
+        descriptors,
         *,
-        workers: int,
-        host: str,
-        tag: str,
+        workers: int = 2,
+        tag: Optional[str] = None,
+        state_dir: Optional[str | Path] = None,
+        durability: str = "snapshot",
+        compact_every: int = 64,
+        default_config=None,
+        max_sessions: Optional[int] = None,
+        host: str = "127.0.0.1",
+        retain_segments: int = 4,
+        idle_ttl_s: Optional[float] = None,
+        build_workers: int = 2,
+        arena_cache: Optional[str | Path] = None,
+        sweep: bool = True,
         metrics: bool = True,
         slow_click_ms: Optional[float] = None,
         slowlog_dir: Optional[str | Path] = None,
     ) -> None:
+        descriptors = list(descriptors)
         if workers < 1:
             raise ValueError("workers must be >= 1")
+        if not descriptors:
+            raise ValueError("a replicated registry needs at least one space")
+        if retain_segments < 1:
+            raise ValueError("retain_segments must be >= 1")
+        ambiguous = [
+            descriptor.name
+            for descriptor in descriptors
+            if _AMBIGUOUS_SPACE.match(descriptor.name)
+        ]
+        if ambiguous:
+            raise ValueError(
+                f"space names {ambiguous} match the worker-tag shape "
+                "'w<index>-': composed session ids could not be routed "
+                "unambiguously — rename them"
+            )
+        if durability == "journal" and state_dir is None:
+            raise ValueError("durability='journal' needs a state_dir")
+        if state_dir is None and (
+            idle_ttl_s is not None
+            or any(d.idle_ttl_s is not None for d in descriptors)
+        ):
+            raise ValueError(
+                "idle TTLs need a state_dir: workers sweep durably"
+            )
         self.host = host
-        self.tag = tag
+        #: The deployment identity: segment names carry it, and the
+        #: startup sweep removes whatever a crashed predecessor with the
+        #: same tag leaked.
+        self.tag = tag if tag is not None else "spaces"
         self.n_workers = workers
+        self.state_dir = Path(state_dir) if state_dir is not None else None
+        self.durability = durability
+        self.compact_every = compact_every
+        self.default_config = default_config
+        self.max_sessions = max_sessions
+        self.idle_ttl_s = idle_ttl_s
+        self.retain_segments = retain_segments
+        self.arena_cache = (
+            Path(arena_cache) if arena_cache is not None else None
+        )
         #: Observability knobs, threaded verbatim into every worker spec:
         #: ``metrics=False`` boots workers with no obs bundle at all, and
         #: ``slowlog_dir`` gives each worker its own
@@ -238,6 +284,21 @@ class _ReplicaFleet:
         self.metrics = bool(metrics)
         self.slow_click_ms = slow_click_ms
         self.slowlog_dir = str(slowlog_dir) if slowlog_dir is not None else None
+        #: Space names whose boot was served from the arena snapshot
+        #: cache instead of a cold build (perf harness reads this).
+        self.arena_cache_hits: list[str] = []
+        #: Segments a SIGKILLed predecessor leaked; swept before the
+        #: first publish so a crash loop never accumulates dead arenas.
+        self.swept_orphans: list[str] = sweep_orphans(self.tag) if sweep else []
+        #: Every live segment, oldest first, keyed ``(space, digest)``.
+        self._published: "OrderedDict[tuple[str, str], PublishedArena]" = (
+            OrderedDict()
+        )
+        self._current: dict[str, dict] = {}
+        self._datasets: dict[str, object] = {}
+        self._policies: dict[str, dict] = {}
+        self._cacheable: dict[str, SpaceDescriptor] = {}
+        self._cache_attachments: list = []
         self.replicas: list[_Replica] = []
         self._ctx = multiprocessing.get_context("spawn")
         self._mutate_lock = threading.Lock()
@@ -252,14 +313,170 @@ class _ReplicaFleet:
         #: Consecutive failures since the last successful respawn; zeroed
         #: on success, drives the typed 503's ``Retry-After``.
         self._respawn_streak: dict[int, int] = {}
+        for descriptor in descriptors:
+            self._policies[descriptor.name] = {
+                "idle_ttl_s": descriptor.idle_ttl_s,
+                "max_sessions": descriptor.max_sessions,
+            }
+            if descriptor.builder is None:
+                self._cacheable[descriptor.name] = descriptor
+        # The parent registry is the mutation authority, never a serving
+        # path: no state_dir (workers own durability on the shared one),
+        # no TTLs, no session budget — just lazily built runtimes.
+        self.registry = SpaceRegistry(
+            [self._wrap(descriptor) for descriptor in descriptors],
+            build_workers=build_workers,
+        )
+        self._reference_re = compile_reference_pattern(
+            [descriptor.name for descriptor in descriptors]
+        )
+        self.replicas = [self._spawn(index) for index in range(workers)]
 
-    def _spawn_fleet(self) -> None:
-        self.replicas = [self._spawn(index) for index in range(self.n_workers)]
+    def space_tag(self, name: str) -> str:
+        """The arena namespace of one space (swept under the pool tag)."""
+        return f"{self.tag}_{name}"
+
+    # -- materialization -------------------------------------------------
+
+    def _wrap(self, descriptor: SpaceDescriptor) -> SpaceDescriptor:
+        # Serving policy (TTLs, session budgets) stays off the parent
+        # wrapper: it applies on the workers, which hold the sessions.
+        return SpaceDescriptor(
+            name=descriptor.name,
+            builder=partial(self._materialize_space, descriptor),
+        )
+
+    def _materialize_space(self, descriptor: SpaceDescriptor):
+        """Build (or cache-load) one space; runs on a registry builder.
+
+        The warm path mmap-loads the arena snapshot file back into a
+        fresh segment, rebuilds only the dataset (cheap relative to
+        discovery + index construction) and maps the runtime from the
+        arena; the cold path materializes the descriptor and publishes
+        its artifacts.  Either way the arena is recorded as the space's
+        current segment and broadcast to every live worker before the
+        registry flips the space to ready.
+        """
+        from repro.core.runtime import GroupSpaceRuntime
+
+        name = descriptor.name
+        space_tag = self.space_tag(name)
+        runtime = None
+        if self.arena_cache is not None and name in self._cacheable:
+            published = load_arena_cache(space_tag, self.arena_cache)
+            if published is not None:
+                dataset = descriptor.build_dataset()
+                attached = attach_arena(space_tag, published.digest)
+                runtime = GroupSpaceRuntime.from_arena(
+                    dataset, attached, share_cache=False, name=name
+                )
+                self._cache_attachments.append(attached)
+                self.arena_cache_hits.append(name)
+        if runtime is None:
+            runtime = descriptor.materialize()
+            dataset = runtime.space.dataset
+            published = publish_arena(
+                runtime.space, runtime.index, space_tag, epoch=runtime.epoch
+            )
+            if self.arena_cache is not None and name in self._cacheable:
+                save_arena_cache(published, space_tag, self.arena_cache)
+        with self._mutate_lock:
+            self._record(name, published)
+            self._datasets[name] = dataset
+        self._broadcast_space(name)
+        return runtime
+
+    def _record(self, name: str, published: PublishedArena) -> None:
+        """Make ``published`` the space's current arena (mutate lock held).
+
+        Segments of the space beyond the retention window are unlinked,
+        oldest first; workers pinned to them keep their mappings.
+        """
+        self._published[(name, published.digest)] = published
+        self._current[name] = {
+            "digest": published.digest,
+            "epoch": int(published.epoch),
+        }
+        owned = [key for key in self._published if key[0] == name]
+        for key in owned[: max(0, len(owned) - self.retain_segments)]:
+            aged = self._published.pop(key)
+            aged.unlink()
+            aged.close()
+
+    def _segments(self, name: str) -> list[str]:
+        return [digest for space, digest in self._published if space == name]
+
+    def _attach_payload(self, name: str) -> dict:
+        current = self._current[name]
+        policy = self._policies[name]
+        return {
+            "name": name,
+            "space_tag": self.space_tag(name),
+            "digest": current["digest"],
+            "epoch": current["epoch"],
+            "dataset_b64": base64.b64encode(
+                pickle.dumps(self._datasets[name])
+            ).decode("ascii"),
+            "idle_ttl_s": policy["idle_ttl_s"],
+            "max_sessions": policy["max_sessions"],
+        }
+
+    def _broadcast_space(self, name: str) -> None:
+        """Tell every live worker to adopt a newly materialized space."""
+        payload = self._attach_payload(name)
+        for replica in self.alive_replicas():
+            try:
+                outcome = _post(
+                    self.host,
+                    replica.port,
+                    "/internal/attach_space",
+                    payload,
+                )
+            except (OSError, RuntimeError, ValueError):
+                self.lose(replica)
+                continue
+            replica.spaces[name] = {
+                "digest": str(outcome.get("digest", payload["digest"])),
+                "epoch": int(outcome.get("epoch", payload["epoch"])),
+            }
 
     # -- worker lifecycle ------------------------------------------------
 
     def _spec(self, worker_index: int) -> dict:
-        raise NotImplementedError
+        spaces = []
+        for name in self.registry.names():
+            current = self._current.get(name)
+            if current is None:
+                continue  # cold/building: workers adopt it via broadcast
+            policy = self._policies[name]
+            spaces.append(
+                {
+                    "name": name,
+                    "space_tag": self.space_tag(name),
+                    "digest": current["digest"],
+                    "epoch": current["epoch"],
+                    "dataset": self._datasets[name],
+                    "idle_ttl_s": policy["idle_ttl_s"],
+                    "max_sessions": policy["max_sessions"],
+                }
+            )
+        return {
+            "tag": self.tag,
+            "worker_index": worker_index,
+            "host": self.host,
+            "state_dir": (
+                str(self.state_dir) if self.state_dir is not None else None
+            ),
+            "durability": self.durability,
+            "compact_every": self.compact_every,
+            "default_config": self.default_config,
+            "max_sessions": self.max_sessions,
+            "idle_ttl_s": self.idle_ttl_s,
+            "metrics": self.metrics,
+            "slow_click_ms": self.slow_click_ms,
+            "slowlog_dir": self.slowlog_dir,
+            "spaces": spaces,
+        }
 
     def _spawn(self, worker_index: int) -> _Replica:
         parent_conn, child_conn = self._ctx.Pipe(duplex=False)
@@ -289,16 +506,16 @@ class _ReplicaFleet:
             process=process,
             port=int(ready["port"]),
             pid=int(ready["pid"]),
-            epoch=int(ready.get("epoch", -1)),
-            digest=str(ready.get("digest", "")),
             spaces={
                 name: dict(info)
                 for name, info in (ready.get("spaces") or {}).items()
             },
         )
 
-    def _mark_dead(self, replica: _Replica) -> None:
+    def lose(self, replica: _Replica) -> None:
+        """Mark a replica that stopped answering dead; arm its respawn."""
         replica.alive = False
+        self._respawn_async(replica.index)
 
     def respawn(self, worker_index: int) -> _Replica:
         """Replace a dead replica in place (idempotent per index)."""
@@ -376,7 +593,7 @@ class _ReplicaFleet:
         return index
 
     def reference_space(self, reference: str) -> Optional[str]:
-        """The space a reference belongs to (registry pools only)."""
+        """The space a session id / resume token belongs to."""
         _, space = _parse_reference(
             reference, self._reference_re, len(self.replicas)
         )
@@ -410,12 +627,10 @@ class _ReplicaFleet:
         replica = self.replicas[index]
         if replica.alive and replica.process.is_alive():
             return replica
-        if replica.alive:
-            self._mark_dead(replica)
         # Always re-arm: the in-flight guard dedups, and a slot whose
         # backoff schedule ran dry gets a fresh round from the next
         # request that needs it instead of staying down forever.
-        self._respawn_async(index)
+        self.lose(replica)
         if takeover:
             candidates = self.alive_replicas()
             if candidates:
@@ -435,17 +650,82 @@ class _ReplicaFleet:
             f"worker {index} is down; its replacement is starting"
         )
 
-    def prepare_open_body(self, body: dict) -> bool:
-        """Pre-route hook for ``open``; True when ``body`` was rewritten."""
-        return False
+    def open_space(self, space, resume) -> str:
+        """Resolve the space an ``open`` targets before it is forwarded.
+
+        Raises the registry's typed ladder (202-building queues the lazy
+        build exactly like the single-process front) *before* the
+        forward.  A resume token's space is recovered from the token
+        itself, and a space-less fresh open pins the registry default, so
+        the router can pin the resolved name in the forwarded body and
+        worker-side default-space drift can never misroute.
+        """
+        if space is not None and not isinstance(space, str):
+            raise _BadRequest("space must be a string")
+        if space is None and resume is not None:
+            space = self.reference_space(resume)
+        if space is None:
+            space = self.registry.default_space
+        self.registry.manager(space, wait=False)
+        return space
+
+    # -- mutation --------------------------------------------------------
+
+    def mutate(self, name: str, delta, verify: bool = False) -> dict:
+        """Apply a delta to one space: parent epoch, arena, rebinds.
+
+        The parent runtime applies (and optionally parity-verifies) the
+        delta, the new epoch is published as a content-addressed arena
+        segment, and every live worker is told to rebind by digest —
+        computing its own stale-fingerprint set from ``changed_old``
+        (the old-gid view of the delta) because fingerprints are
+        process-local.  Only the named space advances; the router's
+        ``POST /spaces/<name>/mutate`` maps straight here.
+        """
+        runtime = self.registry.runtime(name, wait=False)
+        space_tag = self.space_tag(name)
+        with self._mutate_lock:
+            changed_old = sorted(
+                {int(gid) for gid in delta.removed}
+                | {int(gid) for gid, _ in delta.changed}
+            )
+            report = dict(runtime.apply_deltas(delta, verify=verify))
+            published = publish_arena(
+                runtime.space, runtime.index, space_tag, epoch=report["epoch"]
+            )
+            self._record(name, published)
+            if self.arena_cache is not None and name in self._cacheable:
+                save_arena_cache(published, space_tag, self.arena_cache)
+            rebound = []
+            for replica in self.alive_replicas():
+                try:
+                    outcome = _post(
+                        self.host,
+                        replica.port,
+                        "/internal/rebind",
+                        {
+                            "space": name,
+                            "digest": published.digest,
+                            "epoch": report["epoch"],
+                            "changed_old": changed_old,
+                        },
+                    )
+                except (OSError, RuntimeError, ValueError):
+                    # The respawn thread waits out this lock, then boots
+                    # the replacement straight onto the new epoch.
+                    self.lose(replica)
+                    continue
+                replica.spaces[name] = {
+                    "digest": published.digest,
+                    "epoch": int(outcome.get("epoch", report["epoch"])),
+                }
+                rebound.append(replica.index)
+            report["space"] = name
+            report["arena"] = published.name
+            report["rebound_workers"] = rebound
+        return report
 
     # -- introspection ---------------------------------------------------
-
-    def _describe_replica(self, row: dict, replica: _Replica) -> None:
-        raise NotImplementedError
-
-    def _merge_ping(self, row: dict, replica: _Replica, ping: dict) -> None:
-        raise NotImplementedError
 
     def replica_health(self) -> list[dict]:
         """One row per replica: liveness probe + worker-side counters."""
@@ -460,8 +740,10 @@ class _ReplicaFleet:
                 "respawn_failures": self._respawn_failures.get(
                     replica.index, 0
                 ),
+                "spaces": {
+                    name: dict(info) for name, info in replica.spaces.items()
+                },
             }
-            self._describe_replica(row, replica)
             if row["alive"]:
                 try:
                     ping = _post(
@@ -473,21 +755,55 @@ class _ReplicaFleet:
                     )
                 except (OSError, RuntimeError, ValueError):
                     row["alive"] = False
-                    self._mark_dead(replica)
-                    self._respawn_async(replica.index)
+                    self.lose(replica)
                 else:
                     row.update(
                         sessions=ping.get("sessions"),
                         degraded=ping.get("degraded"),
                     )
-                    self._merge_ping(row, replica, ping)
+                    if isinstance(ping.get("spaces"), dict):
+                        row["spaces"] = ping["spaces"]
             rows.append(row)
         return rows
 
-    # -- shutdown --------------------------------------------------------
+    def stats(self) -> dict:
+        replicas = self.replica_health()
+        return {
+            "mode": "replicated-spaces",
+            "tag": self.tag,
+            "workers": self.n_workers,
+            "alive": sum(1 for row in replicas if row["alive"]),
+            "registry": self.registry.stats(),
+            "spaces": {
+                name: dict(current)
+                for name, current in self._current.items()
+            },
+            "segments": {
+                name: self._segments(name) for name in self._current
+            },
+            "swept_orphans": self.swept_orphans,
+            "arena_cache": (
+                str(self.arena_cache) if self.arena_cache is not None else None
+            ),
+            "arena_cache_hits": list(self.arena_cache_hits),
+            "replicas": replicas,
+        }
 
-    def _release(self) -> None:
-        raise NotImplementedError
+    def spaces_payload(self) -> dict:
+        described = self.registry.describe()
+        for name, row in described.items():
+            current = self._current.get(name)
+            if current is not None:
+                row["epoch"] = current["epoch"]
+                row["digest"] = current["digest"]
+                row["segments"] = self._segments(name)
+        return {
+            "spaces": described,
+            "default": self.registry.default_space,
+            "replicas": self.replica_health(),
+        }
+
+    # -- shutdown --------------------------------------------------------
 
     def stop(self, drain: bool = True) -> None:
         """Drain every worker, reap the processes, unlink the segments."""
@@ -520,7 +836,16 @@ class _ReplicaFleet:
                 replica.process.kill()
                 replica.process.join(timeout=5.0)
             replica.alive = False
-        self._release()
+        # Wait out in-flight builds first so a racing builder cannot
+        # publish a segment after the sweep below already ran.
+        self.registry.shutdown(wait=True)
+        for published in self._published.values():
+            published.unlink()
+            published.close()
+        self._published.clear()
+        for attached in self._cache_attachments:
+            attached.close()
+        self._cache_attachments.clear()
 
     def __enter__(self):
         return self
@@ -529,723 +854,19 @@ class _ReplicaFleet:
         self.stop()
 
 
-class WorkerPool(_ReplicaFleet):
-    """N replica processes serving one space from shared-memory arenas."""
-
-    def __init__(
-        self,
-        dataset,
-        space,
-        index=None,
-        *,
-        workers: int = 2,
-        tag: Optional[str] = None,
-        state_dir: Optional[str | Path] = None,
-        durability: str = "snapshot",
-        compact_every: int = 64,
-        default_config=None,
-        max_sessions: Optional[int] = None,
-        host: str = "127.0.0.1",
-        space_name: Optional[str] = None,
-        retain_segments: int = 4,
-        materialize_fraction: float = 0.10,
-        sweep: bool = True,
-        metrics: bool = True,
-        slow_click_ms: Optional[float] = None,
-        slowlog_dir: Optional[str | Path] = None,
-    ) -> None:
-        from repro.core.runtime import GroupSpaceRuntime
-
-        if retain_segments < 1:
-            raise ValueError("retain_segments must be >= 1")
-        #: The deployment identity: segment names carry it, and the
-        #: startup sweep removes whatever a crashed predecessor with the
-        #: same tag leaked.  Defaults to the space name so restarts of
-        #: one deployment sweep their own orphans and nobody else's.
-        self._init_fleet(
-            workers=workers,
-            host=host,
-            tag=tag if tag is not None else (space_name or "space"),
-            metrics=metrics,
-            slow_click_ms=slow_click_ms,
-            slowlog_dir=slowlog_dir,
-        )
-        self.dataset = dataset
-        self.space_name = space_name
-        self.state_dir = Path(state_dir) if state_dir is not None else None
-        self.durability = durability
-        self.compact_every = compact_every
-        self.default_config = default_config
-        self.max_sessions = max_sessions
-        self.retain_segments = retain_segments
-        self._reference_re = compile_reference_pattern()
-        #: Segments a SIGKILLed predecessor leaked; swept before the
-        #: first publish so a crash loop never accumulates dead arenas.
-        self.swept_orphans: list[str] = sweep_orphans(self.tag) if sweep else []
-        # The parent's runtime is the mutation authority, never a
-        # serving path — no cross-session cache needed here.
-        self.runtime = GroupSpaceRuntime(
-            space,
-            index=index,
-            materialize_fraction=materialize_fraction,
-            share_cache=False,
-            name=space_name,
-        )
-        self._published: "OrderedDict[str, PublishedArena]" = OrderedDict()
-        genesis = publish_arena(
-            self.runtime.space,
-            self.runtime.index,
-            self.tag,
-            epoch=self.runtime.epoch,
-        )
-        self._published[genesis.digest] = genesis
-        self._spawn_fleet()
-
-    # -- worker lifecycle ------------------------------------------------
-
-    def _spec(self, worker_index: int) -> dict:
-        return {
-            "tag": self.tag,
-            "worker_index": worker_index,
-            "digest": self.runtime.membership_digest(),
-            "epoch": self.runtime.epoch,
-            "dataset": self.dataset,
-            "space_name": self.space_name,
-            "state_dir": (
-                str(self.state_dir) if self.state_dir is not None else None
-            ),
-            "durability": self.durability,
-            "compact_every": self.compact_every,
-            "default_config": self.default_config,
-            "max_sessions": self.max_sessions,
-            "host": self.host,
-            "metrics": self.metrics,
-            "slow_click_ms": self.slow_click_ms,
-            "slowlog_dir": self.slowlog_dir,
-        }
-
-    # -- mutation --------------------------------------------------------
-
-    def mutate(self, delta, verify: bool = False) -> dict:
-        """Apply a delta everywhere: parent epoch, arena, worker rebinds.
-
-        The parent runtime applies (and optionally parity-verifies) the
-        delta, the new epoch is published as a content-addressed arena
-        segment, and every live worker is told to rebind by digest —
-        computing its own stale-fingerprint set from ``changed_old``
-        (the old-gid view of the delta) because fingerprints are
-        process-local.  Old segments beyond the retention window are
-        unlinked; workers pinned to them keep their mappings.
-        """
-        respawn: list[int] = []
-        with self._mutate_lock:
-            changed_old = sorted(
-                {int(gid) for gid in delta.removed}
-                | {int(gid) for gid, _ in delta.changed}
-            )
-            report = dict(self.runtime.apply_deltas(delta, verify=verify))
-            published = publish_arena(
-                self.runtime.space,
-                self.runtime.index,
-                self.tag,
-                epoch=report["epoch"],
-            )
-            self._published[published.digest] = published
-            rebound = []
-            for replica in self.replicas:
-                if not replica.alive:
-                    continue
-                try:
-                    outcome = _post(
-                        self.host,
-                        replica.port,
-                        "/internal/rebind",
-                        {
-                            "digest": published.digest,
-                            "epoch": report["epoch"],
-                            "changed_old": changed_old,
-                        },
-                    )
-                except (OSError, RuntimeError, ValueError):
-                    self._mark_dead(replica)
-                    respawn.append(replica.index)
-                    continue
-                replica.epoch = int(outcome.get("epoch", report["epoch"]))
-                replica.digest = published.digest
-                rebound.append(replica.index)
-            while len(self._published) > self.retain_segments:
-                _, aged = self._published.popitem(last=False)
-                aged.unlink()
-                aged.close()
-            report["arena"] = published.name
-            report["rebound_workers"] = rebound
-        for index in respawn:
-            self._respawn_async(index)
-        return report
-
-    def mutate_space(self, name: str, delta, verify: bool = False) -> dict:
-        """Route a named mutation: this pool hosts exactly one space."""
-        expected = self.space_name or "default"
-        if name != expected:
-            raise SpaceNotFoundError(name)
-        return self.mutate(delta, verify=verify)
-
-    # -- introspection ---------------------------------------------------
-
-    def _describe_replica(self, row: dict, replica: _Replica) -> None:
-        row["epoch"] = replica.epoch
-        row["digest"] = replica.digest
-
-    def _merge_ping(self, row: dict, replica: _Replica, ping: dict) -> None:
-        row["epoch"] = ping.get("epoch", row["epoch"])
-        row["digest"] = ping.get("digest", row["digest"])
-
-    def stats(self) -> dict:
-        replicas = self.replica_health()
-        return {
-            "mode": "replicated",
-            "tag": self.tag,
-            "workers": self.n_workers,
-            "alive": sum(1 for row in replicas if row["alive"]),
-            "epoch": self.runtime.epoch,
-            "digest": self.runtime.membership_digest(),
-            "segments": list(self._published.keys()),
-            "swept_orphans": self.swept_orphans,
-            "replicas": replicas,
-        }
-
-    def spaces_payload(self) -> dict:
-        name = self.space_name or "default"
-        pool_stats = self.stats()
-        return {
-            "spaces": [
-                {
-                    "name": name,
-                    "state": "ready" if pool_stats["alive"] else "down",
-                    "epoch": pool_stats["epoch"],
-                    "digest": pool_stats["digest"],
-                    "replicas": pool_stats["replicas"],
-                }
-            ],
-            "default": name,
-        }
-
-    # -- shutdown --------------------------------------------------------
-
-    def _release(self) -> None:
-        for published in self._published.values():
-            published.unlink()
-            published.close()
-        self._published.clear()
-
-
-class MultiSpaceWorkerPool(_ReplicaFleet):
-    """A replica fleet fronting a whole space registry.
-
-    The parent hosts the authoritative :class:`SpaceRegistry`: spaces
-    materialize lazily on its build workers (serving threads see the
-    registry's usual 202-building / 404 / sticky-500 ladder through the
-    router), and the build's last step publishes the runtime's artifacts
-    as a shared-memory arena under the per-space tag
-    ``{pool_tag}_{space}`` and broadcasts an ``attach_space`` to every
-    live worker.  Workers host their *own* registries of arena-attached
-    runtimes — each space's manager mints ids ``w<i>-<space>-s0001`` —
-    so one fleet serves every space without N×M rebuild cost, and a
-    mutation republishes and rebinds only the space it names.
-
-    With ``arena_cache`` set, every published payload is also serialized
-    to ``<dir>/<space_tag>.arena``; the next cold boot mmap-loads the
-    file back into a segment and skips discovery + index construction
-    entirely (builder-backed spaces are exempt — they have no standalone
-    dataset recipe to bounds-check a cached arena against).
-    """
-
-    def __init__(
-        self,
-        descriptors,
-        *,
-        workers: int = 2,
-        tag: Optional[str] = None,
-        state_dir: Optional[str | Path] = None,
-        durability: str = "snapshot",
-        compact_every: int = 64,
-        default_config=None,
-        max_sessions: Optional[int] = None,
-        host: str = "127.0.0.1",
-        retain_segments: int = 4,
-        idle_ttl_s: Optional[float] = None,
-        build_workers: int = 2,
-        arena_cache: Optional[str | Path] = None,
-        sweep: bool = True,
-        metrics: bool = True,
-        slow_click_ms: Optional[float] = None,
-        slowlog_dir: Optional[str | Path] = None,
-    ) -> None:
-        descriptors = list(descriptors)
-        if not descriptors:
-            raise ValueError("a replicated registry needs at least one space")
-        if retain_segments < 1:
-            raise ValueError("retain_segments must be >= 1")
-        ambiguous = [
-            descriptor.name
-            for descriptor in descriptors
-            if _AMBIGUOUS_SPACE.match(descriptor.name)
-        ]
-        if ambiguous:
-            raise ValueError(
-                f"space names {ambiguous} match the worker-tag shape "
-                "'w<index>-': composed session ids could not be routed "
-                "unambiguously — rename them"
-            )
-        if durability == "journal" and state_dir is None:
-            raise ValueError("durability='journal' needs a state_dir")
-        if state_dir is None and (
-            idle_ttl_s is not None
-            or any(d.idle_ttl_s is not None for d in descriptors)
-        ):
-            raise ValueError(
-                "idle TTLs need a state_dir: workers sweep durably"
-            )
-        self._init_fleet(
-            workers=workers,
-            host=host,
-            tag=tag if tag is not None else "spaces",
-            metrics=metrics,
-            slow_click_ms=slow_click_ms,
-            slowlog_dir=slowlog_dir,
-        )
-        self.state_dir = Path(state_dir) if state_dir is not None else None
-        self.durability = durability
-        self.compact_every = compact_every
-        self.default_config = default_config
-        self.max_sessions = max_sessions
-        self.idle_ttl_s = idle_ttl_s
-        self.retain_segments = retain_segments
-        self.arena_cache = (
-            Path(arena_cache) if arena_cache is not None else None
-        )
-        #: Space names whose boot was served from the arena snapshot
-        #: cache instead of a cold build (perf harness reads this).
-        self.arena_cache_hits: list[str] = []
-        self.swept_orphans: list[str] = sweep_orphans(self.tag) if sweep else []
-        self._arenas: dict[str, "OrderedDict[str, PublishedArena]"] = {}
-        self._current: dict[str, dict] = {}
-        self._datasets: dict[str, object] = {}
-        self._policies: dict[str, dict] = {}
-        self._cacheable: dict[str, SpaceDescriptor] = {}
-        self._cache_attachments: list = []
-        for descriptor in descriptors:
-            self._policies[descriptor.name] = {
-                "idle_ttl_s": descriptor.idle_ttl_s,
-                "max_sessions": descriptor.max_sessions,
-            }
-            if descriptor.builder is None:
-                self._cacheable[descriptor.name] = descriptor
-        # The parent registry is the mutation authority, never a serving
-        # path: no state_dir (workers own durability on the shared one),
-        # no TTLs, no session budget — just lazily built runtimes.
-        self.registry = SpaceRegistry(
-            [self._wrap(descriptor) for descriptor in descriptors],
-            build_workers=build_workers,
-        )
-        self._reference_re = compile_reference_pattern(
-            [descriptor.name for descriptor in descriptors]
-        )
-        self._spawn_fleet()
-
-    def space_tag(self, name: str) -> str:
-        """The arena namespace of one space (swept under the pool tag)."""
-        return f"{self.tag}_{name}"
-
-    # -- materialization -------------------------------------------------
-
-    def _wrap(self, descriptor: SpaceDescriptor) -> SpaceDescriptor:
-        # Serving policy (TTLs, session budgets) stays off the parent
-        # wrapper: it applies on the workers, which hold the sessions.
-        return SpaceDescriptor(
-            name=descriptor.name,
-            builder=partial(self._materialize_space, descriptor),
-        )
-
-    def _materialize_space(self, descriptor: SpaceDescriptor):
-        """Build (or cache-load) one space; runs on a registry builder.
-
-        The warm path mmap-loads the arena snapshot file back into a
-        fresh segment, rebuilds only the dataset (cheap relative to
-        discovery + index construction) and maps the runtime from the
-        arena; the cold path materializes the descriptor and publishes
-        its artifacts.  Either way the arena is recorded as the space's
-        current segment and broadcast to every live worker before the
-        registry flips the space to ready.
-        """
-        from repro.core.runtime import GroupSpaceRuntime
-
-        name = descriptor.name
-        space_tag = self.space_tag(name)
-        runtime = None
-        if self.arena_cache is not None and name in self._cacheable:
-            published = load_arena_cache(space_tag, self.arena_cache)
-            if published is not None:
-                dataset = descriptor.build_dataset()
-                attached = attach_arena(space_tag, published.digest)
-                runtime = GroupSpaceRuntime.from_arena(
-                    dataset, attached, share_cache=False, name=name
-                )
-                self._cache_attachments.append(attached)
-                self.arena_cache_hits.append(name)
-        if runtime is None:
-            runtime = descriptor.materialize()
-            dataset = runtime.space.dataset
-            published = publish_arena(
-                runtime.space, runtime.index, space_tag, epoch=runtime.epoch
-            )
-            if self.arena_cache is not None and name in self._cacheable:
-                save_arena_cache(published, space_tag, self.arena_cache)
-        with self._mutate_lock:
-            segments = self._arenas.setdefault(name, OrderedDict())
-            segments[published.digest] = published
-            self._current[name] = {
-                "digest": published.digest,
-                "epoch": int(runtime.epoch),
-            }
-            self._datasets[name] = dataset
-        self._broadcast_space(name)
-        return runtime
-
-    def _attach_payload(self, name: str) -> dict:
-        current = self._current[name]
-        policy = self._policies[name]
-        return {
-            "name": name,
-            "space_tag": self.space_tag(name),
-            "digest": current["digest"],
-            "epoch": current["epoch"],
-            "dataset_b64": base64.b64encode(
-                pickle.dumps(self._datasets[name])
-            ).decode("ascii"),
-            "idle_ttl_s": policy["idle_ttl_s"],
-            "max_sessions": policy["max_sessions"],
-        }
-
-    def _broadcast_space(self, name: str) -> None:
-        """Tell every live worker to adopt a newly materialized space."""
-        payload = self._attach_payload(name)
-        respawn: list[int] = []
-        for replica in self.replicas:
-            if not replica.alive:
-                continue
-            try:
-                outcome = _post(
-                    self.host,
-                    replica.port,
-                    "/internal/attach_space",
-                    payload,
-                )
-            except (OSError, RuntimeError, ValueError):
-                self._mark_dead(replica)
-                respawn.append(replica.index)
-                continue
-            replica.spaces[name] = {
-                "digest": str(outcome.get("digest", payload["digest"])),
-                "epoch": int(outcome.get("epoch", payload["epoch"])),
-            }
-        for index in respawn:
-            self._respawn_async(index)
-
-    # -- worker lifecycle ------------------------------------------------
-
-    def _spec(self, worker_index: int) -> dict:
-        spaces = []
-        for name in self.registry.names():
-            current = self._current.get(name)
-            if current is None:
-                continue  # cold/building: workers adopt it via broadcast
-            policy = self._policies[name]
-            spaces.append(
-                {
-                    "name": name,
-                    "space_tag": self.space_tag(name),
-                    "digest": current["digest"],
-                    "epoch": current["epoch"],
-                    "dataset": self._datasets[name],
-                    "idle_ttl_s": policy["idle_ttl_s"],
-                    "max_sessions": policy["max_sessions"],
-                }
-            )
-        return {
-            "multi_space": True,
-            "tag": self.tag,
-            "worker_index": worker_index,
-            "host": self.host,
-            "state_dir": (
-                str(self.state_dir) if self.state_dir is not None else None
-            ),
-            "durability": self.durability,
-            "compact_every": self.compact_every,
-            "default_config": self.default_config,
-            "max_sessions": self.max_sessions,
-            "idle_ttl_s": self.idle_ttl_s,
-            "metrics": self.metrics,
-            "slow_click_ms": self.slow_click_ms,
-            "slowlog_dir": self.slowlog_dir,
-            "spaces": spaces,
-        }
-
-    # -- routing ---------------------------------------------------------
-
-    def prepare_open_body(self, body: dict) -> bool:
-        """Resolve + pin the target space before forwarding an ``open``.
-
-        Raises the registry's typed ladder (202-building queues the lazy
-        build exactly like the single-process front) *before* the
-        forward, and rewrites the body to carry the resolved space name
-        so worker-side default-space drift can never misroute: a resume
-        token's space is recovered from the token itself, a space-less
-        fresh open pins the registry default.
-        """
-        space = body.get("space")
-        if space is not None and not isinstance(space, str):
-            raise _RouterBadRequest("space must be a string")
-        resume = body.get("resume")
-        if space is None and isinstance(resume, str):
-            space = self.reference_space(resume)
-        if space is None:
-            space = self.registry.default_space
-        self.registry.manager(space, wait=False)
-        if body.get("space") != space:
-            body["space"] = space
-            return True
-        return False
-
-    # -- mutation --------------------------------------------------------
-
-    def mutate(self, name: str, delta, verify: bool = False) -> dict:
-        """Apply a delta to one space: parent epoch, arena, rebinds.
-
-        Only the named space's runtime advances, only its arena is
-        republished, and only its per-space retention window is trimmed;
-        every other space keeps serving untouched — the router's
-        ``POST /spaces/<name>/mutate`` maps straight here.
-        """
-        runtime = self.registry.runtime(name, wait=False)
-        space_tag = self.space_tag(name)
-        respawn: list[int] = []
-        with self._mutate_lock:
-            changed_old = sorted(
-                {int(gid) for gid in delta.removed}
-                | {int(gid) for gid, _ in delta.changed}
-            )
-            report = dict(runtime.apply_deltas(delta, verify=verify))
-            published = publish_arena(
-                runtime.space, runtime.index, space_tag, epoch=report["epoch"]
-            )
-            segments = self._arenas.setdefault(name, OrderedDict())
-            segments[published.digest] = published
-            self._current[name] = {
-                "digest": published.digest,
-                "epoch": int(report["epoch"]),
-            }
-            if self.arena_cache is not None and name in self._cacheable:
-                save_arena_cache(published, space_tag, self.arena_cache)
-            rebound = []
-            for replica in self.replicas:
-                if not replica.alive:
-                    continue
-                try:
-                    outcome = _post(
-                        self.host,
-                        replica.port,
-                        "/internal/rebind",
-                        {
-                            "space": name,
-                            "digest": published.digest,
-                            "epoch": report["epoch"],
-                            "changed_old": changed_old,
-                        },
-                    )
-                except (OSError, RuntimeError, ValueError):
-                    self._mark_dead(replica)
-                    respawn.append(replica.index)
-                    continue
-                replica.spaces[name] = {
-                    "digest": published.digest,
-                    "epoch": int(outcome.get("epoch", report["epoch"])),
-                }
-                rebound.append(replica.index)
-            while len(segments) > self.retain_segments:
-                _, aged = segments.popitem(last=False)
-                aged.unlink()
-                aged.close()
-            report["space"] = name
-            report["arena"] = published.name
-            report["rebound_workers"] = rebound
-        for index in respawn:
-            self._respawn_async(index)
-        return report
-
-    def mutate_space(self, name: str, delta, verify: bool = False) -> dict:
-        return self.mutate(name, delta, verify=verify)
-
-    # -- introspection ---------------------------------------------------
-
-    def _describe_replica(self, row: dict, replica: _Replica) -> None:
-        row["spaces"] = {
-            name: dict(info) for name, info in replica.spaces.items()
-        }
-
-    def _merge_ping(self, row: dict, replica: _Replica, ping: dict) -> None:
-        spaces = ping.get("spaces")
-        if isinstance(spaces, dict):
-            row["spaces"] = spaces
-
-    def stats(self) -> dict:
-        replicas = self.replica_health()
-        return {
-            "mode": "replicated-spaces",
-            "tag": self.tag,
-            "workers": self.n_workers,
-            "alive": sum(1 for row in replicas if row["alive"]),
-            "registry": self.registry.stats(),
-            "spaces": {
-                name: dict(current)
-                for name, current in self._current.items()
-            },
-            "segments": {
-                name: list(segments)
-                for name, segments in self._arenas.items()
-            },
-            "swept_orphans": self.swept_orphans,
-            "arena_cache": (
-                str(self.arena_cache) if self.arena_cache is not None else None
-            ),
-            "arena_cache_hits": list(self.arena_cache_hits),
-            "replicas": replicas,
-        }
-
-    def spaces_payload(self) -> dict:
-        described = self.registry.describe()
-        for name, row in described.items():
-            current = self._current.get(name)
-            if current is not None:
-                row["epoch"] = current["epoch"]
-                row["digest"] = current["digest"]
-                row["segments"] = list(self._arenas.get(name, ()))
-        return {
-            "spaces": described,
-            "default": self.registry.default_space,
-            "replicas": self.replica_health(),
-        }
-
-    # -- shutdown --------------------------------------------------------
-
-    def _release(self) -> None:
-        # Wait out in-flight builds first so a racing builder cannot
-        # publish a segment after the sweep below already ran.
-        self.registry.shutdown(wait=True)
-        for segments in self._arenas.values():
-            for published in segments.values():
-                published.unlink()
-                published.close()
-        self._arenas.clear()
-        for attached in self._cache_attachments:
-            attached.close()
-        self._cache_attachments.clear()
-
-
-class _RouterHandler(BaseHTTPRequestHandler):
+class _RouterHandler(JsonHandler):
     """Forward the wire protocol to the sticky replica, verbatim."""
 
-    protocol_version = "HTTP/1.1"
+    _ERRORS = JsonHandler._ERRORS + (
+        # The stock client's 503 retry loop handles this: the
+        # replacement replica (or a takeover resume) answers next.
+        (WorkerUnavailable, 503, None),
+        (KeyError, 404, "unknown_session"),
+        (ValueError, 409, "conflict"),
+    )
 
-    def __init__(self, service: "ReplicatedService", *args, **kwargs) -> None:
-        self.service = service
-        super().__init__(*args, **kwargs)
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass
-
-    # -- plumbing --------------------------------------------------------
-
-    def _body_bytes(self) -> bytes:
-        # Read-once, cached: error replies fire from anywhere in the
-        # route (often before the body was needed), and an unread body
-        # left in the socket desyncs the next keep-alive request into
-        # a framing 400.  ``_dispatch`` drains through here up front.
-        cached = getattr(self, "_cached_body", None)
-        if cached is None:
-            length = int(self.headers.get("Content-Length") or 0)
-            cached = self.rfile.read(length) if length > 0 else b""
-            self._cached_body = cached
-        return cached
-
-    def _body(self) -> dict:
-        raw = self._body_bytes()
-        if not raw:
-            return {}
-        try:
-            body = json.loads(raw.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            raise _RouterBadRequest("body must be a JSON object")
-        if not isinstance(body, dict):
-            raise _RouterBadRequest("body must be a JSON object")
-        return body
-
-    #: Set by :meth:`_dispatch` while an instrumented request is live so
-    #: replies can stamp the final status on the request span.
-    _request_span = None
-
-    def _reply(
-        self, status: int, payload: dict, headers: Optional[dict] = None
-    ) -> None:
-        self._send(
-            status,
-            json.dumps(payload).encode("utf-8"),
-            "application/json",
-            headers,
-        )
-
-    def _reply_text(
-        self,
-        status: int,
-        text: str,
-        content_type: str = "text/plain; version=0.0.4; charset=utf-8",
-    ) -> None:
-        """A raw-text reply: the Prometheus ``/metrics`` exposition."""
-        self._send(status, text.encode("utf-8"), content_type, None)
-
-    def _send(
-        self,
-        status: int,
-        encoded: bytes,
-        content_type: str,
-        headers: Optional[dict],
-    ) -> None:
-        if self._request_span is not None:
-            self._request_span.set_status(status)
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(encoded)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(encoded)
-
-    def _fail(
-        self,
-        status: int,
-        error_type: str,
-        message: str,
-        headers: Optional[dict] = None,
-    ) -> None:
-        self._reply(
-            status,
-            {"error": {"type": error_type, "message": message}},
-            headers=headers,
-        )
-
-    def _forward(self, replica: _Replica, body: Optional[bytes] = None) -> None:
+    def _forward(self, replica: _Replica, body: bytes) -> None:
         """Proxy this request to ``replica`` and relay the raw answer."""
-        payload = body if body is not None else self._body_bytes()
         forward_headers = {"Content-Type": "application/json"}
         # Trace propagation across the replication hop: the client's
         # X-Repro-Trace travels verbatim; when the router minted the id
@@ -1258,121 +879,33 @@ class _RouterHandler(BaseHTTPRequestHandler):
         )
         if trace_id:
             forward_headers[TRACE_HEADER] = trace_id
+        pool = self.service.pool
         connection = http.client.HTTPConnection(
-            self.service.pool.host, replica.port, timeout=_FORWARD_TIMEOUT_S
+            pool.host, replica.port, timeout=_FORWARD_TIMEOUT_S
         )
         try:
             connection.request(
                 self.command,
                 self.path,
-                body=payload or None,
+                body=body or None,
                 headers=forward_headers,
             )
             response = connection.getresponse()
             data = response.read()
-            headers = {}
-            retry_after = response.getheader("Retry-After")
-            if retry_after:
-                headers["Retry-After"] = retry_after
-            if self._request_span is not None:
-                self._request_span.set_status(response.status)
-            self.send_response(response.status)
-            self.send_header(
-                "Content-Type",
-                response.getheader("Content-Type", "application/json"),
-            )
-            self.send_header("Content-Length", str(len(data)))
-            for name, value in headers.items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(data)
         except (OSError, http.client.HTTPException):
-            self.service.pool._mark_dead(replica)
-            self.service.pool._respawn_async(replica.index)
+            pool.lose(replica)
             raise WorkerUnavailable(
                 f"worker {replica.index} dropped the connection"
             )
         finally:
             connection.close()
-
-    # -- routing ---------------------------------------------------------
-
-    def do_GET(self) -> None:  # noqa: N802
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802
-        self._dispatch("POST")
-
-    def _dispatch(self, method: str) -> None:
-        # One handler instance serves every request on a keep-alive
-        # connection: reset the body cache, then drain eagerly so an
-        # error reply fired before any body read can't leave request
-        # bytes in the socket (the next request would parse mid-body).
-        self._cached_body = None
-        self._body_bytes()
-        obs = self.service.obs
-        if obs is None:
-            self._handle(method)
-            return
-        with obs.request(
-            self.path, self.headers.get(TRACE_HEADER)
-        ) as request_span:
-            self._request_span = request_span
-            try:
-                self._handle(method)
-            finally:
-                self._request_span = None
-
-    def _handle(self, method: str) -> None:
-        try:
-            with span("route"):
-                handled = self._route(method)
-        except _RouterBadRequest as error:
-            self._fail(400, "bad_request", str(error))
-        except SpaceBuildingError as error:
-            self._reply(
-                202,
-                {
-                    "state": "building",
-                    "space": error.name,
-                    "retry_after_s": error.retry_after_s,
-                },
-                headers={
-                    "Retry-After": str(max(1, math.ceil(error.retry_after_s)))
-                },
-            )
-        except SpaceNotFoundError as error:
-            # Before KeyError: it subclasses KeyError but is not a
-            # session-routing miss.
-            self._fail(404, "unknown_space", str(error))
-        except SpaceBuildError as error:
-            self._fail(500, "space_build_failed", str(error))
-        except WorkerUnavailable as error:
-            # The stock client's 503 retry loop handles this: the
-            # replacement replica (or a takeover resume) answers next.
-            self._fail(
-                503,
-                error.error_type,
-                str(error),
-                headers={
-                    "Retry-After": str(max(1, math.ceil(error.retry_after_s)))
-                },
-            )
-        except KeyError as error:
-            self._fail(404, "unknown_session", str(error))
-        except ValueError as error:
-            self._fail(409, "conflict", str(error))
-        except (BrokenPipeError, ConnectionResetError):
-            raise
-        except Exception as error:  # noqa: BLE001 — router must not die
-            self._fail(
-                500, "internal_error", f"{type(error).__name__}: {error}"
-            )
-        else:
-            if not handled:
-                self._fail(
-                    404, "not_found", f"no route for {method} {self.path}"
-                )
+        retry_after = response.getheader("Retry-After")
+        self._send(
+            response.status,
+            data,
+            response.getheader("Content-Type", "application/json"),
+            {"Retry-After": retry_after} if retry_after else None,
+        )
 
     def _route(self, method: str) -> bool:
         pool = self.service.pool
@@ -1382,7 +915,7 @@ class _RouterHandler(BaseHTTPRequestHandler):
             self._reply(200, self.service.health())
             return True
         if path == "/spaces" and method == "GET":
-            self._reply(200, self.service.spaces_payload())
+            self._reply(200, pool.spaces_payload())
             return True
         if path == "/metrics" and method == "GET":
             text = self.service.metrics_text()
@@ -1415,77 +948,39 @@ class _RouterHandler(BaseHTTPRequestHandler):
             and segments[2] == "mutate"
             and method == "POST"
         ):
-            from repro.service.server import _BadRequest, parse_mutation
-
-            try:
-                delta, verify = parse_mutation(self._body())
-            except _BadRequest as error:
-                raise _RouterBadRequest(str(error))
-            self._reply(
-                200, pool.mutate_space(segments[1], delta, verify=verify)
-            )
+            delta, verify = parse_mutation(self._body())
+            self._reply(200, pool.mutate(segments[1], delta, verify=verify))
             return True
-        if len(segments) >= 2 and segments[0] == "v1" and segments[1] == "sessions":
-            if len(segments) == 2:
-                if method == "POST":
-                    raw = self._body_bytes()
-                    body = {}
-                    if raw:
-                        try:
-                            body = json.loads(raw.decode("utf-8"))
-                        except (json.JSONDecodeError, UnicodeDecodeError):
-                            raise _RouterBadRequest(
-                                "body must be a JSON object"
-                            )
-                    if not isinstance(body, dict):
-                        raise _RouterBadRequest("body must be a JSON object")
-                    resume = body.get("resume")
-                    if resume is not None and not isinstance(resume, str):
-                        raise _RouterBadRequest("resume must be a token string")
-                    modified = pool.prepare_open_body(body)
-                    if resume is not None and pool.worker_of(resume) is not None:
-                        replica = pool.pick_for(resume, takeover=True)
-                    else:
-                        replica = pool.pick_fresh()
-                    if modified:
-                        raw = json.dumps(body).encode("utf-8")
-                    self._forward(replica, body=raw)
-                else:
-                    self._reply(200, {"sessions": self.service.session_ids()})
-                return True
-            session_id = segments[2]
-            replica = pool.pick_for(session_id)
-            self._forward(replica)
-            return True
-        return False
+        if len(segments) < 2 or segments[0] != "v1" or segments[1] != "sessions":
+            return False
+        if len(segments) > 2:
+            self._forward(pool.pick_for(segments[2]), self._raw_body)
+        elif method == "GET":
+            self._reply(200, {"sessions": self.service.session_ids()})
+        else:
+            self._open()
+        return True
 
-    def _query_int(self, name: str) -> Optional[int]:
-        """An optional integer query parameter (``None`` when absent)."""
-        parts = self.path.split("?", 1)
-        if len(parts) < 2:
-            return None
-        values = parse_qs(parts[1]).get(name)
-        if not values:
-            return None
-        try:
-            return int(values[-1])
-        except ValueError:
-            raise _RouterBadRequest(
-                f"query parameter {name!r} must be an integer"
-            )
-
-
-class _RouterBadRequest(Exception):
-    pass
-
-
-class _RouterServer(ThreadingHTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
+    def _open(self) -> None:
+        pool = self.service.pool
+        body = self._body()
+        resume = body.get("resume")
+        if resume is not None and not isinstance(resume, str):
+            raise _BadRequest("resume must be a token string")
+        raw = self._raw_body
+        space = pool.open_space(body.get("space"), resume)
+        if body.get("space") != space:
+            body["space"] = space
+            raw = json.dumps(body).encode("utf-8")
+        if resume is not None and pool.worker_of(resume) is not None:
+            replica = pool.pick_for(resume, takeover=True)
+        else:
+            replica = pool.pick_fresh()
+        self._forward(replica, raw)
 
 
 class ReplicatedService:
-    """The HTTP router over a worker pool (single-space or registry).
+    """The HTTP router over a worker pool.
 
     Speaks the same wire protocol as
     :class:`~repro.service.server.ExplorationService`, so the stock
@@ -1496,7 +991,7 @@ class ReplicatedService:
 
     def __init__(
         self,
-        pool: "WorkerPool | MultiSpaceWorkerPool",
+        pool: MultiSpaceWorkerPool,
         host: str = "127.0.0.1",
         port: int = 0,
         metrics: bool = True,
@@ -1510,7 +1005,7 @@ class ReplicatedService:
         self.obs = Observability(slow_click_ms=slow_click_ms) if metrics else None
         if self.obs is not None:
             self.obs.registry.register_collector(self._collect_respawns)
-        self._httpd = _RouterServer((host, port), partial(_RouterHandler, self))
+        self._httpd = _Server((host, port), partial(_RouterHandler, self))
         self.host, self.port = self._httpd.server_address[:2]
         self._serve_thread: Optional[threading.Thread] = None
         self._started_at = time.monotonic()
@@ -1545,6 +1040,7 @@ class ReplicatedService:
 
     def stop(self, stop_pool: bool = True) -> None:
         self._httpd.shutdown()
+        self._httpd.close_connections()
         self._httpd.server_close()
         if self._serve_thread is not None:
             self._serve_thread.join(timeout=5.0)
@@ -1577,8 +1073,7 @@ class ReplicatedService:
                 finally:
                     connection.close()
             except (OSError, ValueError, http.client.HTTPException):
-                self.pool._mark_dead(replica)
-                self.pool._respawn_async(replica.index)
+                self.pool.lose(replica)
         return sorted(ids)
 
     def health(self) -> dict:
@@ -1594,9 +1089,6 @@ class ReplicatedService:
             "pool": pool_stats,
             "replicas": pool_stats["replicas"],
         }
-
-    def spaces_payload(self) -> dict:
-        return self.pool.spaces_payload()
 
     def metrics_text(self) -> Optional[str]:
         """The merged fleet exposition (``None`` when metrics are off).
@@ -1622,8 +1114,7 @@ class ReplicatedService:
                     timeout=2.0,
                 )
             except (OSError, RuntimeError, ValueError):
-                self.pool._mark_dead(replica)
-                self.pool._respawn_async(replica.index)
+                self.pool.lose(replica)
                 continue
             dump = reply.get("metrics")
             if dump:
@@ -1649,8 +1140,7 @@ class ReplicatedService:
                     timeout=2.0,
                 )
             except (OSError, RuntimeError, ValueError):
-                self.pool._mark_dead(replica)
-                self.pool._respawn_async(replica.index)
+                self.pool.lose(replica)
                 continue
             events.extend(reply.get("events") or [])
         events.sort(key=lambda event: event.get("ts") or 0.0)
@@ -1664,35 +1154,39 @@ def serve_replicated(
     space,
     index=None,
     *,
-    workers: int = 2,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    metrics: bool = True,
-    slow_click_ms: Optional[float] = None,
-    **pool_kwargs,
+    space_name: Optional[str] = None,
+    tag: Optional[str] = None,
+    **kwargs,
 ) -> ReplicatedService:
-    """Convenience: build the pool, start the router, return it running."""
-    pool = WorkerPool(
-        dataset,
-        space,
-        index,
-        workers=workers,
-        host=host,
-        metrics=metrics,
-        slow_click_ms=slow_click_ms,
-        **pool_kwargs,
+    """Replicate one group space: a one-descriptor registry fleet.
+
+    The parent builds the runtime from ``space`` (reusing a prebuilt
+    similarity ``index`` when given) and publishes it before this
+    returns, so every worker has attached the space and opens never see
+    a 202.  ``dataset`` is the space's own dataset (``space.dataset``);
+    the space carries it to the workers.  The space is routed as
+    ``space_name`` (default ``"default"``) and the arena namespace
+    defaults to that name; every other keyword goes to
+    :func:`serve_replicated_spaces`.
+    """
+    from repro.core.runtime import GroupSpaceRuntime
+
+    name = space_name or "default"
+    descriptor = SpaceDescriptor(
+        name=name,
+        builder=lambda: GroupSpaceRuntime(
+            space, index=index, share_cache=False, name=name
+        ),
+    )
+    service = serve_replicated_spaces(
+        [descriptor], tag=tag if tag is not None else name, **kwargs
     )
     try:
-        return ReplicatedService(
-            pool,
-            host=host,
-            port=port,
-            metrics=metrics,
-            slow_click_ms=slow_click_ms,
-        ).start()
+        service.pool.registry.manager(name, wait=True)
     except BaseException:
-        pool.stop()
+        service.stop()
         raise
+    return service
 
 
 def serve_replicated_spaces(
@@ -1705,7 +1199,7 @@ def serve_replicated_spaces(
     slow_click_ms: Optional[float] = None,
     **pool_kwargs,
 ) -> ReplicatedService:
-    """Convenience: replicate a whole registry behind one router."""
+    """Build the pool, start the router in front of it, return it running."""
     pool = MultiSpaceWorkerPool(
         descriptors,
         workers=workers,
@@ -1730,7 +1224,6 @@ def serve_replicated_spaces(
 __all__ = [
     "MultiSpaceWorkerPool",
     "ReplicatedService",
-    "WorkerPool",
     "WorkerUnavailable",
     "compile_reference_pattern",
     "serve_replicated",

@@ -1,35 +1,34 @@
-"""One replica process: attach the arena(s), serve, obey the parent.
+"""One replica process: attach the arenas, serve, obey the parent.
 
 A worker is the existing serving stack —
-:class:`~repro.core.runtime.GroupSpaceRuntime` +
-:class:`~repro.core.runtime.SessionManager` +
-:class:`~repro.service.server.ExplorationService` — booted over artifacts
-*mapped* from the parent's shared-memory arena instead of built locally.
-Single-space pools boot one manager under the ``w<index>-`` session-id
-prefix; registry pools boot a whole
-:class:`~repro.spaces.registry.SpaceRegistry` whose ``id_tag`` is the
-worker tag, so every space's ids compose as ``w<index>-<space>-s0001``.
-A control object mounted on the service's ``POST /internal/<verb>``
-namespace obeys the parent:
+:class:`~repro.spaces.registry.SpaceRegistry` of
+:class:`~repro.core.runtime.GroupSpaceRuntime` managers behind an
+:class:`~repro.service.server.ExplorationService` — booted over
+artifacts *mapped* from the parent's shared-memory arenas instead of
+built locally.  The registry's ``id_tag`` is the worker tag, so every
+space's ids compose as ``w<index>-<space>-s0001``.  A control object
+mounted on the service's ``POST /internal/<verb>`` namespace obeys the
+parent:
 
-- ``ping`` — liveness + epoch/digest/session counters for ``/healthz``;
-- ``rebind`` — the parent published a new epoch's arena: attach it
-  (digest-verified), invalidate the stale pool fingerprints (computed
-  here, against *this* process's current space — fingerprints are
-  process-local), and adopt the new epoch.  Sessions pinned to older
+- ``ping`` — liveness + per-space epoch/digest + session counters for
+  ``/healthz``;
+- ``rebind`` — the parent published a new epoch's arena for one space:
+  attach it (digest-verified), invalidate the stale pool fingerprints
+  (computed here, against *this* process's current space — fingerprints
+  are process-local), and adopt the new epoch.  Sessions pinned to older
   epochs keep serving them; the attachments are retained so their mapped
   arrays stay valid even after the parent unlinks the segment names;
-- ``attach_space`` (registry workers) — the parent finished
-  materializing a space this worker was booted without: register it and
-  map its runtime from the named arena;
+- ``attach_space`` — the parent finished materializing a space this
+  worker was booted without: register it and map its runtime from the
+  named arena;
 - ``drain`` — checkpoint every live session and exit cleanly (the same
   path the ``SIGTERM``/``SIGINT`` handlers take), so worker recycling
   never loses a walk.
 
-``worker_main`` / ``_space_worker_main`` are module-level entry points
-because the pool spawns workers with the ``spawn`` start method (no
-fork(): a forked CPython inherits the parent's locks, sockets and signal
-state, all wrong here).
+:func:`_worker_entry` is a module-level entry point because the pool
+spawns workers with the ``spawn`` start method (no fork(): a forked
+CPython inherits the parent's locks, sockets and signal state, all
+wrong here).
 """
 
 from __future__ import annotations
@@ -72,109 +71,6 @@ def _build_obs(spec: dict, worker_index: int):
     )
 
 
-def _metrics_reply(obs) -> dict:
-    if obs is None:
-        return {"ok": True, "metrics": None}
-    return {"ok": True, "metrics": obs.dump_metrics()}
-
-
-def _activity_reply(obs, space: str, body: dict) -> dict:
-    limit = body.get("limit")
-    if not isinstance(limit, int):
-        limit = None
-    events = [] if obs is None else obs.activity.recent(space, limit)
-    return {"ok": True, "space": space, "events": events}
-
-
-class WorkerControl:
-    """The parent-facing command surface of one single-space worker."""
-
-    def __init__(
-        self, manager, runtime, tag: str, worker_index: int, obs=None
-    ) -> None:
-        self.manager = manager
-        self.runtime = runtime
-        self.tag = tag
-        self.worker_index = worker_index
-        self.obs = obs
-        self.drain_event = threading.Event()
-        #: Attachments by digest.  Never dropped while the process lives:
-        #: a session pinned to an old epoch reads arrays mapped from the
-        #: old segment, and unmapping them under it would be a crash, not
-        #: a cleanup.  The set is bounded by the parent's retention
-        #: window times the worker's lifetime between recycles.
-        self.attachments: dict[str, AttachedArena] = {}
-        self._rebind_lock = threading.Lock()
-
-    def describe(self) -> dict:
-        return {
-            "ok": True,
-            "pid": os.getpid(),
-            "worker": self.worker_index,
-            "epoch": self.runtime.epoch,
-            "digest": self.runtime.membership_digest(),
-            "sessions": len(self.manager),
-            "degraded": self.manager.degraded,
-        }
-
-    def handle(self, verb: str, body: dict) -> dict:
-        if verb == "ping":
-            return self.describe()
-        if verb == "rebind":
-            return self.rebind(body)
-        if verb == "metrics":
-            return _metrics_reply(self.obs)
-        if verb == "activity":
-            # A single-space worker keeps one ring, keyed by its
-            # manager's own label — serve it whatever name was asked.
-            return _activity_reply(
-                self.obs, self.manager.space_label, body
-            )
-        if verb == "drain":
-            return self.drain()
-        raise KeyError(f"unknown internal verb {verb!r}")
-
-    def rebind(self, body: dict) -> dict:
-        digest = body.get("digest")
-        if not isinstance(digest, str) or not digest:
-            raise ValueError("rebind needs the new epoch's digest")
-        epoch = body.get("epoch")
-        if not isinstance(epoch, int):
-            raise ValueError("rebind needs the new epoch number")
-        changed_old = body.get("changed_old") or []
-        with self._rebind_lock:
-            if self.runtime.membership_digest() == digest:
-                report = {"epoch": self.runtime.epoch, "digest": digest,
-                          "noop": True}
-            else:
-                try:
-                    attached = attach_arena(self.tag, digest)
-                except FileNotFoundError as error:
-                    # A typed refusal (409 through the service front),
-                    # not an internal error: the parent unlinked — or
-                    # never published — that segment.
-                    raise ValueError(
-                        f"rebind to an unpublished arena segment: {error}"
-                    )
-                report = self.runtime.adopt_epoch(
-                    attached.group_space(self.runtime.space.dataset),
-                    attached.similarity_index(),
-                    stale_gids=[int(gid) for gid in changed_old],
-                    digest=digest,
-                    epoch_number=epoch,
-                )
-                self.attachments[digest] = attached
-        report.update(self.describe())
-        return report
-
-    def drain(self) -> dict:
-        summary = {"draining": True, **self.describe()}
-        # The reply goes out before the service stops: the event is only
-        # *set* here, the main thread does the checkpoint + exit.
-        self.drain_event.set()
-        return summary
-
-
 class SpaceWorkerControl:
     """The parent-facing command surface of one registry worker.
 
@@ -192,8 +88,11 @@ class SpaceWorkerControl:
         self.worker_index = worker_index
         self.obs = obs
         self.drain_event = threading.Event()
-        #: Attachments by (space, digest); retained for the process
-        #: lifetime for the same reason as the single-space worker's.
+        #: Attachments by (space, digest).  Never dropped while the
+        #: process lives: a session pinned to an old epoch reads arrays
+        #: mapped from the old segment, and unmapping them under it would
+        #: be a crash, not a cleanup.  The set is bounded by the parent's
+        #: retention window times the worker's lifetime between recycles.
         self.attachments: dict[tuple[str, str], AttachedArena] = {}
         self._records: dict[str, dict] = {}
         self._lock = threading.Lock()
@@ -286,15 +185,23 @@ class SpaceWorkerControl:
         if verb == "attach_space":
             return self.attach_space(body)
         if verb == "metrics":
-            return _metrics_reply(self.obs)
+            dump = None if self.obs is None else self.obs.dump_metrics()
+            return {"ok": True, "metrics": dump}
         if verb == "activity":
-            space = body.get("space")
-            return _activity_reply(
-                self.obs, space if isinstance(space, str) else "", body
-            )
+            return self.activity(body)
         if verb == "drain":
             return self.drain()
         raise KeyError(f"unknown internal verb {verb!r}")
+
+    def activity(self, body: dict) -> dict:
+        space = body.get("space")
+        if not isinstance(space, str):
+            space = ""
+        limit = body.get("limit")
+        if not isinstance(limit, int):
+            limit = None
+        events = [] if self.obs is None else self.obs.activity.recent(space, limit)
+        return {"ok": True, "space": space, "events": events}
 
     def attach_space(self, body: dict) -> dict:
         name = body.get("name")
@@ -389,119 +296,17 @@ class SpaceWorkerControl:
         return summary
 
 
-def _graceful_exit(manager, service, attachments=()) -> None:
-    """Checkpoint every live session, then stop serving.
+def _worker_entry(spec: dict, ready_conn) -> None:
+    """Boot one replica from a parent-built spec, serve until drained.
 
-    ``evict_idle(0.0)`` persists (snapshot or journal-compact, per the
-    manager's durability mode) and retires every session, so a recycled
-    worker's walks resume bitwise-identical from the shared state
-    directory — the drain contract the regression suite asserts.  The
-    arena attachments are closed last: mappings with views still live
-    stay mapped (exit reclaims them), but the close keeps the interpreter
-    shutdown free of finalizer noise.
-    """
-    if manager.state_dir is not None:
-        try:
-            manager.evict_idle(0.0)
-        except Exception:
-            traceback.print_exc(file=sys.stderr)
-    service.stop()
-    for attached in list(attachments):
-        attached.close()
-
-
-def _graceful_registry_exit(registry, service, attachments=()) -> None:
-    """Registry-worker analogue: drain every ready space, then stop."""
-    try:
-        registry.drain()
-    except Exception:
-        traceback.print_exc(file=sys.stderr)
-    service.stop()
-    registry.shutdown(wait=False)
-    for attached in list(attachments):
-        attached.close()
-
-
-def worker_main(spec: dict, ready_conn) -> int:
-    """Boot one single-space replica from a parent-built spec.
-
-    ``spec`` carries only picklable boot material (the dataset, the
-    arena address, manager knobs); everything heavy is mapped from the
-    arena.  ``ready_conn`` receives exactly one message: ``{"ok": True,
-    "port", "pid", ...}`` once the HTTP front is listening, or ``{"ok":
-    False, "error"}`` when boot failed (digest mismatch, missing
-    segment) — the parent decides what to do about it.
-    """
-    from repro.core.runtime import GroupSpaceRuntime, SessionManager
-    from repro.service.server import ExplorationService
-
-    tag = spec["tag"]
-    worker_index = int(spec["worker_index"])
-    try:
-        attached = attach_arena(tag, spec["digest"])
-        runtime = GroupSpaceRuntime.from_arena(
-            spec["dataset"],
-            attached,
-            name=spec.get("space_name"),
-        )
-        manager = SessionManager(
-            runtime,
-            default_config=spec.get("default_config"),
-            max_sessions=spec.get("max_sessions"),
-            state_dir=spec.get("state_dir"),
-            id_prefix=f"w{worker_index}-",
-            durability=spec.get("durability", "snapshot"),
-            compact_every=spec.get("compact_every", 64),
-        )
-        obs = _build_obs(spec, worker_index)
-        control = WorkerControl(manager, runtime, tag, worker_index, obs=obs)
-        control.attachments[attached.digest] = attached
-        service = ExplorationService(
-            manager,
-            host=spec.get("host", "127.0.0.1"),
-            port=int(spec.get("port", 0)),
-            control=control,
-            obs=obs,
-            metrics=obs is not None,
-        ).start()
-    except BaseException as error:  # noqa: BLE001 — report boot failures
-        ready_conn.send(
-            {"ok": False, "error": f"{type(error).__name__}: {error}"}
-        )
-        ready_conn.close()
-        return 1
-
-    def _on_signal(signum, frame) -> None:
-        control.drain_event.set()
-
-    signal.signal(signal.SIGTERM, _on_signal)
-    signal.signal(signal.SIGINT, _on_signal)
-
-    ready_conn.send(
-        {
-            "ok": True,
-            "port": service.port,
-            "pid": os.getpid(),
-            "worker": worker_index,
-            "epoch": runtime.epoch,
-            "digest": runtime.membership_digest(),
-        }
-    )
-    ready_conn.close()
-
-    control.drain_event.wait()
-    _graceful_exit(manager, service, control.attachments.values())
-    return 0
-
-
-def _space_worker_main(spec: dict, ready_conn) -> int:
-    """Boot one registry replica: a space registry of arena runtimes.
-
-    Every space the parent has already materialized arrives in the spec
-    (dataset + arena address + serving policy) and is adopted before the
-    ready message goes out; spaces that finish building later arrive via
-    ``attach_space``.  The registry's ``id_tag`` is this worker's tag,
-    so ids compose as ``w<index>-<space>-s0001`` and route back here.
+    ``spec`` carries only picklable boot material: every space the
+    parent has already materialized (dataset + arena address + serving
+    policy) is adopted before the ready message goes out; spaces that
+    finish building later arrive via ``attach_space``.  ``ready_conn``
+    receives exactly one message: ``{"ok": True, "port", "pid",
+    "spaces"}`` once the HTTP front is listening, or ``{"ok": False,
+    "error"}`` when boot failed (digest mismatch, missing segment) — the
+    parent decides what to do about it.
     """
     from repro.service.server import ExplorationService
     from repro.spaces.registry import SpaceRegistry
@@ -545,7 +350,7 @@ def _space_worker_main(spec: dict, ready_conn) -> int:
             {"ok": False, "error": f"{type(error).__name__}: {error}"}
         )
         ready_conn.close()
-        return 1
+        sys.exit(1)
 
     def _on_signal(signum, frame) -> None:
         control.drain_event.set()
@@ -571,11 +376,17 @@ def _space_worker_main(spec: dict, ready_conn) -> int:
     ready_conn.close()
 
     control.drain_event.wait()
-    _graceful_registry_exit(registry, service, control.attachments.values())
-    return 0
-
-
-def _worker_entry(spec: dict, ready_conn) -> None:
-    """The ``Process(target=...)`` shim: exit with the main's code."""
-    main = _space_worker_main if spec.get("multi_space") else worker_main
-    sys.exit(main(spec, ready_conn))
+    # Checkpoint every live session (snapshot or journal-compact, per the
+    # durability mode) so a recycled worker's walks resume
+    # bitwise-identical from the shared state directory, then stop.  The
+    # arena attachments are closed last: mappings with views still live
+    # stay mapped (exit reclaims them), but the close keeps interpreter
+    # shutdown free of finalizer noise.
+    try:
+        registry.drain()
+    except Exception:
+        traceback.print_exc(file=sys.stderr)
+    service.stop()
+    registry.shutdown(wait=False)
+    for attached in list(control.attachments.values()):
+        attached.close()

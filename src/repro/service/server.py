@@ -261,8 +261,26 @@ class _Server(ThreadingHTTPServer):
                 pass
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """One request: route, call the manager, serialize the outcome."""
+def _retry_after(error: Exception) -> Optional[dict[str, str]]:
+    """The ``Retry-After`` header of a refusal that carries a hint."""
+    hint = getattr(error, "retry_after_s", None)
+    if hint is None:
+        return None
+    return {"Retry-After": str(max(1, math.ceil(hint)))}
+
+
+class JsonHandler(BaseHTTPRequestHandler):
+    """HTTP/1.1 JSON plumbing shared by every front in this repository.
+
+    The service handler below and the replication router
+    (:mod:`repro.replication.pool`) both answer the same wire protocol;
+    everything about *how* a request is read and answered lives here so
+    the two can never drift apart: keep-alive with an idle timeout,
+    TCP_NODELAY, the eager body drain, JSON body parsing, reply
+    framing, request-span status stamping, and the typed error ladder.
+    Subclasses provide ``_route(method) -> bool`` and their ``_ERRORS``
+    table.
+    """
 
     protocol_version = "HTTP/1.1"  # keep-alive: one connection per client
     #: Idle keep-alive connections are reaped after this many seconds so
@@ -275,8 +293,24 @@ class _Handler(BaseHTTPRequestHandler):
     #: balloons to ~40 ms — wiping out the click budget the selection
     #: engine fights for.
     disable_nagle_algorithm = True
+    #: Buffered replies: status line, headers and body leave in one
+    #: write when ``http.server`` flushes after the verb returns — after
+    #: the request span closed, so a client that has seen a reply can
+    #: already find its request in ``/metrics`` and the slow log.
+    wbufsize = 1 << 16
 
-    def __init__(self, service: "ExplorationService", *args, **kwargs) -> None:
+    #: ``(exception type, status, error type)`` in match order: the first
+    #: ``isinstance`` hit answers, an exception carrying ``retry_after_s``
+    #: also sets ``Retry-After``, and an ``error type`` of ``None`` reads
+    #: the exception's own ``error_type``.  Unmatched exceptions are a
+    #: 500 ``internal_error``; a building space is a 202, not an error.
+    _ERRORS: tuple = (
+        (_BadRequest, 400, "bad_request"),
+        (SpaceNotFoundError, 404, "unknown_space"),
+        (SpaceBuildError, 500, "space_build_failed"),
+    )
+
+    def __init__(self, service, *args, **kwargs) -> None:
         self.service = service
         super().__init__(*args, **kwargs)
 
@@ -290,6 +324,12 @@ class _Handler(BaseHTTPRequestHandler):
 
     def log_message(self, format: str, *args) -> None:
         """Silent by default; the service counts instead of printing."""
+
+    def handle_expect_100(self) -> bool:
+        # The interim 100 must reach the client now, not with the reply.
+        accepted = super().handle_expect_100()
+        self.wfile.flush()
+        return accepted
 
     # -- plumbing --------------------------------------------------------
 
@@ -339,7 +379,6 @@ class _Handler(BaseHTTPRequestHandler):
         message: str,
         headers: Optional[dict[str, str]] = None,
     ) -> None:
-        self.service.count_error()
         self._reply(
             status,
             {"error": {"type": error_type, "message": message}},
@@ -357,6 +396,9 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
+            # The body cannot be framed, so neither can the next request
+            # on this connection: answer, then hang up.
+            self.close_connection = True
             raise _BadRequest("Content-Length must be an integer")
         self._raw_body = self.rfile.read(length) if length > 0 else b""
 
@@ -371,6 +413,21 @@ class _Handler(BaseHTTPRequestHandler):
             raise _BadRequest("request body must be a JSON object")
         return body
 
+    def _query_int(self, name: str) -> Optional[int]:
+        """An optional integer query parameter (``None`` when absent)."""
+        parts = self.path.split("?", 1)
+        if len(parts) < 2:
+            return None
+        values = parse_qs(parts[1]).get(name)
+        if not values:
+            return None
+        try:
+            return int(values[-1])
+        except ValueError:
+            raise _BadRequest(f"query parameter {name!r} must be an integer")
+
+    # -- dispatch --------------------------------------------------------
+
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
         self._dispatch("GET")
 
@@ -378,7 +435,6 @@ class _Handler(BaseHTTPRequestHandler):
         self._dispatch("POST")
 
     def _dispatch(self, method: str) -> None:
-        self.service.count_request()
         obs = self.service.obs
         if obs is None:
             self._handle(method)
@@ -401,9 +457,17 @@ class _Handler(BaseHTTPRequestHandler):
             self._drain_body()
             with span("route"):
                 handled = self._route(method)
-        except _BadRequest as error:
-            self._fail(400, "bad_request", str(error))
-        except SpaceBuildingError as error:
+        except (BrokenPipeError, ConnectionResetError):
+            raise  # client went away mid-reply; nothing to serialize
+        except Exception as error:  # noqa: BLE001 — a front must not die
+            self._refuse(error)
+        else:
+            if not handled:
+                self._fail(404, "not_found", f"no route for {method} {self.path}")
+
+    def _refuse(self, error: Exception) -> None:
+        """Answer a raised exception with its typed reply."""
+        if isinstance(error, SpaceBuildingError):
             # Not a failure: the build was accepted and is running in the
             # background.  202 + Retry-After is the "come back shortly"
             # protocol shape; the typed client raises SpaceBuilding with
@@ -415,53 +479,65 @@ class _Handler(BaseHTTPRequestHandler):
                     "space": error.name,
                     "retry_after_s": error.retry_after_s,
                 },
-                headers={
-                    "Retry-After": str(max(1, math.ceil(error.retry_after_s)))
-                },
+                headers=_retry_after(error),
             )
-        except SpaceNotFoundError as error:
-            self._fail(404, "unknown_space", str(error))
-        except SpaceBuildError as error:
-            self._fail(500, "space_build_failed", str(error))
-        except UnknownSessionError as error:
-            self._fail(404, "unknown_session", str(error))
-        except SessionLimitError as error:
-            self._fail(429, "too_many_sessions", str(error))
-        except DurabilityError as error:
-            # The durable write failed and the interaction was rolled
-            # back server-side (503 genuinely means "not applied"); the
-            # Retry-After hint carries the manager's healing cadence.
-            self._fail(
-                503,
-                "durability_degraded",
-                str(error),
-                headers={
-                    "Retry-After": str(max(1, math.ceil(error.retry_after_s)))
-                },
-            )
-        except StaleEpochError as error:
-            # The resume's pinned store generation aged out of every
-            # retention window (runtime epochs, or arena segments after
-            # a worker respawn).  Typed apart from the generic conflict:
-            # the client's only recovery is a fresh session, not a retry.
-            self._fail(409, "stale_epoch", str(error))
-        except ValueError as error:
-            # Server-side state disagreement: stale space digest on
-            # resume, an already-live resume token, resume without a
-            # state dir — the request was well-formed but cannot be
-            # honoured against the current state.
-            self._fail(409, "conflict", str(error))
-        except (KeyError, IndexError) as error:
-            # Well-typed but unsatisfiable references (a gid outside the
-            # space, an unknown history step).
-            self._fail(400, "bad_reference", str(error))
-        except (BrokenPipeError, ConnectionResetError):
-            raise  # client went away mid-reply; nothing to serialize
-        except Exception as error:  # noqa: BLE001 — service must not die
-            self._fail(500, "internal_error", f"{type(error).__name__}: {error}")
-        else:
-            if not handled:
-                self._fail(404, "not_found", f"no route for {method} {self.path}")
+            return
+        for kind, status, error_type in self._ERRORS:
+            if isinstance(error, kind):
+                self._fail(
+                    status,
+                    error_type or error.error_type,
+                    str(error),
+                    headers=_retry_after(error),
+                )
+                return
+        self._fail(500, "internal_error", f"{type(error).__name__}: {error}")
+
+    def _route(self, method: str) -> bool:
+        raise NotImplementedError
+
+
+class _Handler(JsonHandler):
+    """One request: route, call the manager, serialize the outcome."""
+
+    _ERRORS = JsonHandler._ERRORS + (
+        (UnknownSessionError, 404, "unknown_session"),
+        (SessionLimitError, 429, "too_many_sessions"),
+        # The durable write failed and the interaction was rolled back
+        # server-side (503 genuinely means "not applied"); the
+        # Retry-After hint carries the manager's healing cadence.
+        (DurabilityError, 503, "durability_degraded"),
+        # The resume's pinned store generation aged out of every
+        # retention window (runtime epochs, or arena segments after a
+        # worker respawn).  Typed apart from the generic conflict: the
+        # client's only recovery is a fresh session, not a retry.
+        (StaleEpochError, 409, "stale_epoch"),
+        # Server-side state disagreement: stale space digest on resume,
+        # an already-live resume token, resume without a state dir — the
+        # request was well-formed but cannot be honoured.
+        (ValueError, 409, "conflict"),
+        # Well-typed but unsatisfiable references (a gid outside the
+        # space, an unknown history step).
+        ((KeyError, IndexError), 400, "bad_reference"),
+    )
+
+    def do_GET(self) -> None:  # noqa: N802 (http.server API)
+        self.service.count_request()
+        self._dispatch("GET")
+
+    def do_POST(self) -> None:  # noqa: N802
+        self.service.count_request()
+        self._dispatch("POST")
+
+    def _fail(
+        self,
+        status: int,
+        error_type: str,
+        message: str,
+        headers: Optional[dict[str, str]] = None,
+    ) -> None:
+        self.service.count_error()
+        super()._fail(status, error_type, message, headers)
 
     #: Method each session verb answers to; a known verb with the wrong
     #: method is a 405, not a 404 (the route exists, the method is wrong).
@@ -628,19 +704,6 @@ class _Handler(BaseHTTPRequestHandler):
         else:  # stats
             self._reply(200, manager.session_stats(session_id))
         return True
-
-    def _query_int(self, name: str) -> Optional[int]:
-        """An optional integer query parameter (``None`` when absent)."""
-        parts = self.path.split("?", 1)
-        if len(parts) < 2:
-            return None
-        values = parse_qs(parts[1]).get(name)
-        if not values:
-            return None
-        try:
-            return int(values[-1])
-        except ValueError:
-            raise _BadRequest(f"query parameter {name!r} must be an integer")
 
     def _int_gid(self, body: dict) -> int:
         return _int_field(body, "gid")

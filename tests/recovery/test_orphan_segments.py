@@ -4,7 +4,7 @@ POSIX shared memory outlives its creator: a SIGKILLed serving parent
 (no atexit, no resource tracker — arenas deliberately disown it) leaves
 ``/dev/shm/repro_arena_<tag>_*`` behind.  A crash-looping deployment
 must not accumulate dead arenas until the kernel refuses new ones, so
-:class:`WorkerPool` sweeps every segment under its tag before the first
+a replicated pool sweeps every segment under its tag before the first
 publish.  This matrix kills a real publisher process with ``SIGKILL``,
 observes the leak, and asserts the next pool lifetime removes it.
 """
@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.discovery import DiscoveryConfig, discover_groups
 from repro.data.generators.dbauthors import DBAuthorsConfig, generate_dbauthors
-from repro.replication import WorkerPool, list_segments, sweep_orphans
+from repro.replication import list_segments, serve_replicated, sweep_orphans
 
 pytestmark = pytest.mark.recovery
 
@@ -81,7 +81,7 @@ def test_sigkilled_publisher_leaks_and_restart_sweeps(tag, tmp_path):
         data.dataset,
         DiscoveryConfig(method="lcm", min_support=0.09, max_description=3),
     )
-    pool = WorkerPool(
+    service = serve_replicated(
         data.dataset,
         space,
         workers=1,
@@ -89,6 +89,7 @@ def test_sigkilled_publisher_leaks_and_restart_sweeps(tag, tmp_path):
         state_dir=tmp_path,
         space_name="orphan",
     )
+    pool = service.pool
     try:
         assert leaked in pool.swept_orphans
         remaining = list_segments(tag)
@@ -97,7 +98,7 @@ def test_sigkilled_publisher_leaks_and_restart_sweeps(tag, tmp_path):
         assert len(remaining) == 1
         assert pool.replicas[0].alive
     finally:
-        pool.stop()
+        service.stop()
     assert list_segments(tag) == []
 
 

@@ -76,7 +76,7 @@ def oracle(store):
     return displays, clicked
 
 
-def start_server(store, state_dir, journal=False):
+def start_server(store, state_dir, journal=False, extra=()):
     data_dir, store_dir = store
     argv = [
         sys.executable, "-m", "repro.cli", "serve", "--http",
@@ -90,6 +90,7 @@ def start_server(store, state_dir, journal=False):
     ]
     if journal:
         argv += ["--journal", "--compact-every", "2"]
+    argv += list(extra)
     process = subprocess.Popen(
         argv,
         cwd=REPO_ROOT,
@@ -158,3 +159,21 @@ def test_sigterm_drains_and_resumes_bitwise(store, oracle, tmp_path, journal):
     finally:
         output = sigterm_and_collect(process)
     assert "drained 1 live sessions" in output
+
+
+def test_replicated_serve_accepts_idle_ttl(store, tmp_path):
+    """``--workers`` composes with ``--idle-ttl``: workers sweep durably."""
+    state_dir = tmp_path / "state"
+    state_dir.mkdir()
+    process, host, port = start_server(
+        store, state_dir, extra=["--workers", "1", "--idle-ttl", "60"]
+    )
+    try:
+        with ExplorationClient(host, port) as client:
+            opened = client.open(
+                config={"k": 5, "time_budget_ms": None, "use_profile": False}
+            )
+            assert opened.session_id.startswith("w0-drain-db-")
+    finally:
+        output = sigterm_and_collect(process)
+    assert "service stopped" in output
