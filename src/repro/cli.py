@@ -626,13 +626,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
         outcomes = list(executor.map(drive, range(args.sessions)))
     for session_id, latencies in outcomes:
         summary = manager.close(session_id)
-        cache = summary["cache"]
-        shared_hits = cache.get("shared_structure_hits", 0) if cache else 0
+        cache = summary["cache"] or {}
         print(
             f"  {session_id}: {len(latencies)} clicks, "
             f"p50 {statistics.median(latencies):.1f} ms, "
             f"max {max(latencies):.1f} ms, "
-            f"{shared_hits} cross-session structure hits"
+            f"{cache.get('shared_structure_hits', 0)} cross-session "
+            f"structure / {cache.get('shared_result_hits', 0)} result hits"
         )
     every_click = [value for _, latencies in outcomes for value in latencies]
     print(
@@ -644,7 +644,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(
             f"shared cache: {shared['structures']} structures "
             f"({shared['structure_hits']} hits), "
-            f"{shared['pair_entries']} pair entries"
+            f"{shared['result_entries']} results "
+            f"({shared['result_hits']} hits)"
         )
     if mutation_reports:
         apply_times = [report["apply_ms"] for report in mutation_reports]

@@ -29,7 +29,7 @@ from repro.core.profile import ExplorerProfile
 from repro.core.runtime import (
     GroupSpaceRuntime,
     SessionManager,
-    SharedPairCache,
+    SharedSelectionCache,
 )
 from repro.core.selection import SelectionConfig, SelectionResult, select_k
 from repro.core.session import ExplorationSession, SessionConfig
@@ -84,7 +84,7 @@ __all__ = [
     "SelectionResult",
     "SessionConfig",
     "SessionManager",
-    "SharedPairCache",
+    "SharedSelectionCache",
     "SingleTargetTask",
     "Step",
     "build_group_graph",

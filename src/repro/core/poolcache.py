@@ -25,13 +25,9 @@ construction:
   rebuilding.  When the owning session hands over the similarity index's
   membership matrix, cold builds slice rows out of it (validated against
   the pool's member arrays) rather than re-concatenating per click.
-- **Jaccard pair layer** — every materialized similarity column publishes
-  its (group, group) → Jaccard entries into a bounded shared dict, so a
-  click whose pool overlaps *any* earlier pool assembles most of each
-  column from cached pairs and runs the sparse mat-vec only over the
-  missing rows.  Both paths go through
-  :func:`repro.core.similarity.jaccard_column`, so patched and fresh
-  columns are bitwise identical.
+  Each structure memoizes the Jaccard columns it materializes (one
+  sparse mat-vec per column through
+  :func:`repro.core.similarity.jaccard_column`).
 - **feedback layer** — the feedback-dependent arrays (coverage weights,
   per-candidate §II-B group weights) keyed on the feedback vector's
   *content* key (:meth:`repro.core.feedback.FeedbackVector.state_key`),
@@ -48,12 +44,16 @@ construction:
   :mod:`repro.core.selection`).
 
 When the owning session belongs to a
-:class:`~repro.core.runtime.GroupSpaceRuntime`, the structure and Jaccard
-pair layers additionally consult the runtime's cross-session
-:class:`~repro.core.runtime.SharedPairCache` before computing, so one
-session's precomputation warms every other session over the same group
-space.  The feedback, result and governor layers stay private per
-session by construction — they encode one explorer's CONTEXT.
+:class:`~repro.core.runtime.GroupSpaceRuntime`, the structure and result
+layers additionally consult the runtime's cross-session
+:class:`~repro.core.runtime.SharedSelectionCache` before computing, so
+one session's precomputation warms every other session over the same
+group space, and a click another session already converged on (same
+pool, relevant set, feedback content, prior and config, same store
+epoch) is answered without running selection.  Only converged,
+ungoverned results are shared — they are deterministic in their key.
+The feedback and governor layers stay private per session by
+construction — they encode one explorer's CONTEXT.
 
 Every layer is LRU/size-bounded so long sessions stay in bounded memory,
 and every layer is *transparent*: cached and uncached runs return the
@@ -138,9 +138,6 @@ class _PoolStructure:
         "attrs",
         "attr_count",
         "sim_columns",
-        "pair_sims",
-        "pair_capacity",
-        "shared_pairs",
         "shared_version",
         "published_columns",
     )
@@ -186,13 +183,9 @@ class _PoolStructure:
         ]
         self._build_attrs()
         self.sim_columns: dict[int, np.ndarray] = {}
-        self.pair_sims: Optional[dict] = None
-        self.pair_capacity = 0
-        # Cross-session pair layer (a runtime's SharedPairCache) plus the
-        # runtime version observed when this structure was served — every
-        # shared read/publish is stamped with it, so a store mutation
-        # mid-click invalidates rather than races.
-        self.shared_pairs: Optional[Any] = None
+        # The shared-cache version observed when this structure was
+        # served — its republication is stamped with it, so a store
+        # mutation mid-click invalidates rather than races.
         self.shared_version = 0
         # Columns already visible to the shared layer; when the live
         # count grows past this, the owning cache republishes a snapshot
@@ -295,107 +288,24 @@ class _PoolStructure:
     # -- Jaccard columns ------------------------------------------------
 
     def sim_column(self, index: int) -> np.ndarray:
-        """Jaccard of every pool entry to ``pool[index]``, lazily cached.
-
-        With a session pair dict and/or a cross-session
-        :class:`~repro.core.runtime.SharedPairCache` attached, the column
-        is assembled from previously published (group, group)
-        similarities — the session layer first (lock-free), then one
-        batched, version-stamped shared lookup — and only the still
-        missing rows pay a (partial) sparse mat-vec.  Either way every
-        entry comes from :func:`repro.core.similarity.jaccard_column`,
-        so cached, patched and fresh columns are bitwise identical.
-        """
-        cached = self.sim_columns.get(index)
-        if cached is not None:
-            return cached
-        members = self.pool[index].members
-        pairs = self.pair_sims
-        shared = self.shared_pairs
-        column: Optional[np.ndarray] = None
-        computed: list[int] = []
-        if pairs or shared is not None:
-            own = self.fingerprints[index]
-            column = np.empty(len(self.pool), dtype=np.float64)
-            missing: list[int] = []
-            missing_keys: list[tuple] = []
-            for position, fingerprint in enumerate(self.fingerprints):
-                key = (own, fingerprint) if own <= fingerprint else (fingerprint, own)
-                value = pairs.get(key) if pairs else None
-                if value is None:
-                    missing.append(position)
-                    missing_keys.append(key)
-                else:
-                    column[position] = value
-            if missing and shared is not None:
-                found = shared.get_pairs(missing_keys, self.shared_version)
-                if found:
-                    still_missing: list[int] = []
-                    for position, key in zip(missing, missing_keys):
-                        value = found.get(key)
-                        if value is None:
-                            still_missing.append(position)
-                        else:
-                            column[position] = value
-                    missing = still_missing
-            if len(missing) == len(self.pool):
-                column = None  # nothing cached anywhere: one full mat-vec
-            elif missing:
-                rows = self.members_matrix[missing]
-                column[missing] = jaccard_column(
-                    rows, self.member_sizes[missing], members
-                )
-                computed = missing
+        """Jaccard of every pool entry to ``pool[index]``, lazily cached."""
+        column = self.sim_columns.get(index)
         if column is None:
-            column = jaccard_column(self.members_matrix, self.member_sizes, members)
-            computed = list(range(len(self.pool)))
-        self._publish_pairs(index, column, computed)
-        self.sim_columns[index] = column
+            column = jaccard_column(
+                self.members_matrix, self.member_sizes, self.pool[index].members
+            )
+            self.sim_columns[index] = column
         return column
-
-    def _publish_pairs(
-        self, index: int, column: np.ndarray, computed: list[int]
-    ) -> None:
-        """Publish one column's pair values to the session + shared layers.
-
-        The session dict absorbs the full column (local lookups stay
-        lock-free, including values that arrived from the shared layer);
-        the shared layer receives only the *freshly computed* entries —
-        everything else it either already holds or published itself.
-        """
-        pairs = self.pair_sims
-        shared = self.shared_pairs
-        session_wants = pairs is not None and len(pairs) < self.pair_capacity
-        shared_wants = shared is not None and computed
-        if not session_wants and not shared_wants:
-            return
-        own = self.fingerprints[index]
-        values = column.tolist()
-        if session_wants:
-            for position, fingerprint in enumerate(self.fingerprints):
-                key = (
-                    (own, fingerprint) if own <= fingerprint else (fingerprint, own)
-                )
-                pairs[key] = values[position]
-        if shared_wants:
-            fresh: dict[tuple, float] = {}
-            for position in computed:
-                fingerprint = self.fingerprints[position]
-                key = (
-                    (own, fingerprint) if own <= fingerprint else (fingerprint, own)
-                )
-                fresh[key] = values[position]
-            shared.publish_pairs(fresh, self.shared_version)
 
     def snapshot(self) -> "_PoolStructure":
         """An independent view of this structure for another session.
 
         Shares every immutable array (membership CSR, coverage incidence,
         attribute matrices) but owns fresh mutable state: a copied
-        ``sim_columns`` dict and *no* pair/shared bindings — the serving
-        cache re-attaches those per session.  This is what
-        :class:`~repro.core.runtime.SharedPairCache` stores and returns,
-        so no two sessions ever mutate the same dict concurrently.
+        ``sim_columns`` dict.  This is what
+        :class:`~repro.core.runtime.SharedSelectionCache` stores and
+        returns, so no two sessions ever mutate the same dict
+        concurrently.
         """
         twin = object.__new__(_PoolStructure)
         twin.pool = self.pool
@@ -413,9 +323,6 @@ class _PoolStructure:
         twin.attrs = self.attrs
         twin.attr_count = self.attr_count
         twin.sim_columns = dict(self.sim_columns)
-        twin.pair_sims = None
-        twin.pair_capacity = 0
-        twin.shared_pairs = None
         twin.shared_version = 0
         twin.published_columns = len(twin.sim_columns)
         return twin
@@ -468,9 +375,6 @@ class _PoolStructure:
             for old, column in self.sim_columns.items()
             if old in new_position
         }
-        twin.pair_sims = self.pair_sims
-        twin.pair_capacity = self.pair_capacity
-        twin.shared_pairs = self.shared_pairs
         twin.shared_version = self.shared_version
         twin.published_columns = 0
         return twin
@@ -484,37 +388,41 @@ class PoolStatsCache:
     would, a content change anywhere (store mutation, re-discovery,
     feedback drift) changes the fingerprint and misses.  ``capacity`` /
     ``result_capacity`` bound the structure and result layers with LRU
-    eviction; ``pair_capacity`` bounds the shared Jaccard pair dict
-    (publication simply stops at the cap), so long sessions hold bounded
-    memory.
+    eviction, so long sessions hold bounded memory; ``result_capacity=0``
+    turns the result layer off, shared results included.
     """
 
     def __init__(
         self,
         capacity: int = 32,
         result_capacity: int = 64,
-        pair_capacity: int = 200_000,
         space_matrix: Optional[sparse.csr_matrix] = None,
         shared: Optional[Any] = None,
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        if result_capacity < 0 or pair_capacity < 0:
-            raise ValueError("capacities must be >= 0")
+        if result_capacity < 0:
+            raise ValueError("result_capacity must be >= 0")
         self.capacity = capacity
         self.result_capacity = result_capacity
-        self.pair_capacity = pair_capacity
         self.space_matrix = space_matrix
-        #: Cross-session layer (a :class:`repro.core.runtime.SharedPairCache`)
-        #: consulted for structures and Jaccard pairs before computing.
-        #: Feedback/result layers stay private to this session cache.
+        #: Cross-session layer (a
+        #: :class:`repro.core.runtime.SharedSelectionCache`) consulted for
+        #: structures and converged results before computing.  The
+        #: feedback and governor layers stay private to this session cache.
         self.shared = shared
+        #: Store epoch the owning session is pinned to: shared results are
+        #: only exchanged with sessions on the same epoch.  Set by
+        #: :meth:`repro.core.runtime.GroupSpaceRuntime.session_cache`.
+        self.epoch = 0
+        # Shared-cache version observed by the last result lookup, i.e.
+        # before the selection it guards started; -1 never matches.
+        self._result_version = -1
         self._structures: "OrderedDict[tuple, _PoolStructure]" = OrderedDict()
         self._by_set: dict[tuple, tuple] = {}
         self._feedback_layers: "OrderedDict[tuple, tuple]" = OrderedDict()
         self._results: "OrderedDict[tuple, Any]" = OrderedDict()
         self._dense_weights: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-        self._pair_sims: dict[tuple, float] = {}
         self._governor_tiers: "OrderedDict[tuple, int]" = OrderedDict()
         self.last_structure_key: Optional[tuple] = None
         self.structure_hits = 0
@@ -525,6 +433,7 @@ class PoolStatsCache:
         self.feedback_misses = 0
         self.result_hits = 0
         self.result_misses = 0
+        self.shared_result_hits = 0
         self.governor_resumes = 0
         self.evictions = 0
 
@@ -589,9 +498,6 @@ class PoolStatsCache:
                 key, structure, shared_version
             ):
                 structure.published_columns = len(structure.sim_columns)
-        structure.pair_sims = self._pair_sims
-        structure.pair_capacity = self.pair_capacity
-        structure.shared_pairs = shared
         structure.shared_version = shared_version
         self._structures[key] = structure
         self._by_set[set_key] = key
@@ -624,7 +530,7 @@ class PoolStatsCache:
         ``select_k`` with the clicked pool's structure key (falling back
         to the most recently served structure), this pushes an updated
         snapshot so *other* sessions inherit the materialized columns
-        instead of re-assembling them pair by pair.  No-op without a
+        instead of recomputing them.  No-op without a
         shared layer or when nothing new was materialized.
         """
         shared = self.shared
@@ -707,20 +613,42 @@ class PoolStatsCache:
         return (fingerprints, relevant_key, feedback_key, prior_key, config_key)
 
     def lookup_result(self, key: tuple) -> Optional[Any]:
+        """The memoized result for ``key``: this session's, else a shared one."""
         result = self._results.get(key)
-        if result is None:
-            self.result_misses += 1
-            return None
-        self._results.move_to_end(key)
-        self.result_hits += 1
-        return result
+        if result is not None:
+            self._results.move_to_end(key)
+            self.result_hits += 1
+            return result
+        shared = self.shared
+        if shared is not None and self.result_capacity:
+            self._result_version = shared.version
+            result = shared.lookup_result(key, self.epoch, self._result_version)
+            if result is not None:
+                self.shared_result_hits += 1
+                self.result_hits += 1
+                self.store_result(key, result)
+                return result
+        self.result_misses += 1
+        return None
 
-    def store_result(self, key: tuple, result: Any) -> None:
+    def store_result(self, key: tuple, result: Any, share: bool = False) -> None:
+        """Memoize ``result``; ``share`` also offers it to other sessions.
+
+        Only a result that is deterministic in ``key`` may be shared (the
+        selection engine passes ``share`` for converged, ungoverned
+        runs).  It is stamped with the shared version observed by the
+        preceding :meth:`lookup_result`, so a mutation that landed while
+        it was computed gets it refused.
+        """
         if self.result_capacity == 0:
             return
         self._results[key] = result
         while len(self._results) > self.result_capacity:
             self._results.popitem(last=False)
+        if share and self.shared is not None:
+            self.shared.publish_result(
+                key, self.epoch, result, self._result_version
+            )
 
     # -- governor layer --------------------------------------------------
 
@@ -828,13 +756,6 @@ class PoolStatsCache:
         ]:
             del self._results[key]
             dropped += 1
-        for key in [
-            key
-            for key in self._pair_sims
-            if key[0] in stale or key[1] in stale
-        ]:
-            del self._pair_sims[key]
-            dropped += 1
         return dropped
 
     # -- introspection ---------------------------------------------------
@@ -854,9 +775,9 @@ class PoolStatsCache:
             "feedback_misses": self.feedback_misses,
             "result_hits": self.result_hits,
             "result_misses": self.result_misses,
+            "shared_result_hits": self.shared_result_hits,
             "governor_resumes": self.governor_resumes,
             "evictions": self.evictions,
-            "pair_entries": len(self._pair_sims),
         }
 
     def clear(self) -> None:
@@ -865,7 +786,6 @@ class PoolStatsCache:
         self._feedback_layers.clear()
         self._results.clear()
         self._dense_weights.clear()
-        self._pair_sims.clear()
         self._governor_tiers.clear()
         self.last_structure_key = None
 

@@ -12,22 +12,24 @@ another.
 
 Three pieces turn the per-session stack into a serving runtime:
 
-- :class:`SharedPairCache` — the concurrency-safe cross-session layer.
-  Jaccard pairs live in lock-striped dicts; per-(pool, relevant)
-  structure snapshots live behind one lock.  Every read and write is
-  stamped with the cache *version*: keys are content fingerprints (so
-  stale data misses by construction even without versioning), and a
-  store mutation bumps the version, which atomically empties the cache
-  and rejects any in-flight publication that observed the old version.
+- :class:`SharedSelectionCache` — the concurrency-safe cross-session
+  layer.  It holds per-(pool, relevant) structure snapshots and the
+  converged ``select_k`` results sessions share, so a click whose inputs
+  another session already converged on skips selection entirely.  Every
+  read and write is stamped with the cache *version*: keys are content
+  fingerprints (so stale data misses by construction even without
+  versioning), and a store mutation bumps the version, which atomically
+  empties the cache and rejects any in-flight publication that observed
+  the old version.
 - :class:`GroupSpaceRuntime` — owns, per group space, the immutable
   shared artifacts every session reads: the similarity index (built once
   with the batched lexsort ranking), the pooled group×user membership
-  CSR, and the shared pair cache.  Sessions are created *from* the
+  CSR, and the shared selection cache.  Sessions are created *from* the
   runtime and receive session caches wired to the shared layer; their
-  feedback / result / governor layers stay private (they encode one
-  explorer's CONTEXT, which must never leak between analysts — the
-  threaded suite in ``tests/core/test_runtime.py`` asserts exactly
-  this isolation plus display parity with sequential solo sessions).
+  feedback and governor layers stay private (they encode one explorer's
+  CONTEXT, which must never leak between analysts — the threaded suite
+  in ``tests/core/test_runtime.py`` asserts exactly this isolation plus
+  display parity with sequential solo sessions).
 - :class:`SessionManager` — the thread-safe service API: ``open_session``
   / ``click`` / ``close`` for N concurrent sessions against one runtime.
   Clicks on the same session serialize on a per-session lock; clicks on
@@ -37,7 +39,6 @@ Three pieces turn the per-session stack into a serving runtime:
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 import uuid
@@ -112,46 +113,31 @@ class StaleEpochError(ValueError):
     """
 
 
-def adaptive_stripe_count(
-    fanout: Optional[int] = None, cores: Optional[int] = None
-) -> int:
-    """Stripe count sized to this machine and group space, power of two.
-
-    Lock stripes exist to keep concurrent sessions publishing different
-    neighborhoods off each other's locks, so the right count scales with
-    how many publishers can actually run at once (the core count — a few
-    stripes per core keeps the birthday-bound collision probability of
-    ``t`` threads around ``t²/(2·stripes)`` low) and is capped by the
-    space's pair fan-out (a tiny space cannot populate more stripes than
-    it has distinct pair keys, so extra stripes would only waste dicts).
-    Rounded up to a power of two and clamped to [4, 256]; pass an
-    explicit ``stripes`` to :class:`SharedPairCache` to bypass this
-    sizing entirely (the pre-adaptive fixed configuration).
-    """
-    if cores is None:
-        cores = os.cpu_count() or 1
-    stripes = 4 * max(cores, 1)
-    if fanout is not None and fanout > 0:
-        stripes = min(stripes, fanout)
-    return max(4, min(256, 1 << (max(stripes, 1) - 1).bit_length()))
+#: Converged selection results the cross-session layer retains (LRU).
+#: An entry is a few group references and floats, but its key holds the
+#: computing session's feedback content; the bound caps how much of that
+#: the layer keeps alive after the sessions have moved on.
+SHARED_RESULT_CAPACITY = 256
 
 
-class SharedPairCache:
-    """Lock-striped, version-stamped cross-session selection cache.
+class SharedSelectionCache:
+    """Version-stamped cross-session selection cache.
 
     Two layers, both keyed on *content fingerprints* (gid + member hash),
     both transparent — a hit returns exactly what a fresh computation
     would produce:
 
-    - **pairs**: (group fingerprint, group fingerprint) → Jaccard, the
-      values :class:`~repro.core.poolcache._PoolStructure` columns are
-      assembled from.  Striped across ``stripes`` dicts, each with its
-      own lock, so concurrent sessions publishing different
-      neighborhoods rarely contend.
     - **structures**: (pool fingerprints, relevant fingerprint) →
       feedback-independent :class:`_PoolStructure` snapshot.  Lookups
       return an independent snapshot per caller so no two sessions share
       mutable dicts.
+    - **results**: a ``select_k`` memo key (pool, relevant, feedback
+      content, prior key, config) → the :class:`SelectionResult` one
+      session converged on.  Only results whose swap phase converged with
+      the governor off are published: such a run never hit its deadline,
+      so it is exactly the untimed result for that key, whichever session
+      asks.  Entries are also keyed on the store epoch they were computed
+      under and served only to sessions pinned to that epoch.
 
     Every operation carries the version the caller observed *before* it
     started computing, and every stored entry is stamped with the version
@@ -159,12 +145,9 @@ class SharedPairCache:
     mutation signal) increments the version and empties both layers, and
     any read or publication stamped with an older version is refused — a
     session that raced the mutation can neither read nor write stale
-    state.  The entry stamps close the historical race where a reader
-    observing the *new* version between the increment and the stripe
-    clears passed the staleness check and was served pre-mutation pairs:
-    a lookup now also requires the entry's own publication stamp to match
-    the caller's version, so un-cleared old entries are invisible the
-    instant the version moves.
+    state.  A lookup also requires the entry's own publication stamp to
+    match the caller's version, so entries a bump has not swept yet are
+    invisible the instant the version moves.
 
     Epoched store mutation (:meth:`GroupSpaceRuntime.apply_deltas`) does
     *not* bump the version: entries are content-addressed, so only the
@@ -174,55 +157,30 @@ class SharedPairCache:
     sessions.
     """
 
-    def __init__(
-        self,
-        pair_capacity: int = 400_000,
-        structure_capacity: int = 64,
-        stripes: Optional[int] = None,
-        fanout: Optional[int] = None,
-    ) -> None:
-        if pair_capacity < 0 or structure_capacity < 0:
-            raise ValueError("capacities must be >= 0")
-        if stripes is None:
-            # Adaptive default: sized from the core count and (when the
-            # owning runtime passes one) the space's pair fan-out.  An
-            # explicit ``stripes`` keeps the fixed pre-adaptive sizing.
-            stripes = adaptive_stripe_count(fanout)
-        if stripes < 1:
-            raise ValueError("stripes must be >= 1")
-        self.pair_capacity = pair_capacity
+    def __init__(self, structure_capacity: int = 64) -> None:
+        if structure_capacity < 0:
+            raise ValueError("structure_capacity must be >= 0")
         self.structure_capacity = structure_capacity
-        self.n_stripes = stripes
-        # 0 disables the pair layer outright; otherwise every stripe gets
-        # at least one slot so tiny capacities still cache something.
-        self._stripe_capacity = (
-            max(pair_capacity // stripes, 1) if pair_capacity else 0
-        )
-        # Stripe values are (publication version, similarity): the stamp
-        # is what makes bump_version race-free (see class docstring).
-        self._stripes: list[dict[tuple, tuple[int, float]]] = [
-            {} for _ in range(stripes)
-        ]
-        self._stripe_locks = [threading.Lock() for _ in range(stripes)]
         self._structures: "OrderedDict[tuple, tuple[int, _PoolStructure]]" = (
             OrderedDict()
         )
-        self._structures_lock = threading.Lock()
-        self._version_lock = threading.Lock()
-        # Counters are read-modify-write, so they take this lock — an
-        # unguarded `+= ` would silently lose increments under exactly
-        # the thread contention this cache exists to serve.
-        self._stats_lock = threading.Lock()
+        self._results: "OrderedDict[tuple, tuple[int, object]]" = OrderedDict()
+        # One lock guards both layers, the version and the counters; every
+        # critical section is short.
+        self._lock = threading.Lock()
         self._version = 0
-        self.pair_hits = 0
-        self.pair_misses = 0
         self.structure_hits = 0
         self.structure_misses = 0
+        self.result_hits = 0
+        self.result_misses = 0
         self.stale_rejections = 0
 
-    def _count(self, counter: str, amount: int = 1) -> None:
-        with self._stats_lock:
-            setattr(self, counter, getattr(self, counter) + amount)
+    def _stale(self, version: int) -> bool:
+        """Count and report a caller stamped with an old version (locked)."""
+        if version != self._version:
+            self.stale_rejections += 1
+            return True
+        return False
 
     # -- versioning ------------------------------------------------------
 
@@ -232,51 +190,26 @@ class SharedPairCache:
 
     def bump_version(self) -> int:
         """Invalidate everything: a full-flush mutation makes all entries
-        stale.
-
-        Increments the version (publications that observed the old
-        version are refused from this point on), then empties both
-        layers under their locks.  Entry-level publication stamps make
-        the ordering safe: a reader that observes the new version before
-        a stripe is cleared still cannot be served an old entry, because
-        the entry's stamp no longer matches (the pre-stamp
-        implementation had exactly that race).  Returns the new version.
-        """
-        with self._version_lock:
+        stale.  Returns the new version."""
+        with self._lock:
             self._version += 1
-            version = self._version
-        for lock, stripe in zip(self._stripe_locks, self._stripes):
-            with lock:
-                stripe.clear()
-        with self._structures_lock:
             self._structures.clear()
-        return version
+            self._results.clear()
+            return self._version
 
     def invalidate_fingerprints(self, stale: frozenset | set) -> int:
         """Drop exactly the entries whose content went stale (epoch apply).
 
         ``stale`` is a set of group fingerprints whose member content
-        changed or disappeared in a mutation.  Pair entries touching any
-        stale fingerprint and structure snapshots whose pool references
-        one are removed; everything else stays warm and the version does
-        *not* move — unchanged content is still exactly what a fresh
-        computation would produce, for old-epoch and new-epoch readers
-        alike.  Returns the number of entries dropped.
+        changed or disappeared in a mutation.  Structure snapshots and
+        results whose pool references one are removed; everything else
+        stays warm and the version does *not* move — unchanged content is
+        still exactly what a fresh computation would produce.  Returns
+        the number of entries dropped.
         """
         if not stale:
             return 0
-        dropped = 0
-        for lock, stripe in zip(self._stripe_locks, self._stripes):
-            with lock:
-                doomed = [
-                    key
-                    for key in stripe
-                    if key[0] in stale or key[1] in stale
-                ]
-                for key in doomed:
-                    del stripe[key]
-                dropped += len(doomed)
-        with self._structures_lock:
+        with self._lock:
             doomed = [
                 key
                 for key in self._structures
@@ -284,68 +217,16 @@ class SharedPairCache:
             ]
             for key in doomed:
                 del self._structures[key]
-            dropped += len(doomed)
-        return dropped
-
-    # -- pair layer ------------------------------------------------------
-
-    def _stripe_of(self, key: tuple) -> int:
-        return hash(key) % self.n_stripes
-
-    def get_pairs(self, keys: list[tuple], version: int) -> dict[tuple, float]:
-        """Batched pair lookup; ``{}`` when ``version`` is stale.
-
-        Groups the keys by stripe so each stripe lock is taken at most
-        once per call.
-        """
-        if version != self._version:
-            self._count("stale_rejections")
-            return {}
-        by_stripe: dict[int, list[tuple]] = {}
-        for key in keys:
-            by_stripe.setdefault(self._stripe_of(key), []).append(key)
-        found: dict[tuple, float] = {}
-        for stripe_index, stripe_keys in by_stripe.items():
-            stripe = self._stripes[stripe_index]
-            with self._stripe_locks[stripe_index]:
-                if version != self._version:
-                    self._count("stale_rejections")
-                    return {}
-                for key in stripe_keys:
-                    entry = stripe.get(key)
-                    # The publication stamp must match too: an entry
-                    # published under an older version may not have been
-                    # swept out yet when the caller observed the new one.
-                    if entry is not None and entry[0] == version:
-                        found[key] = entry[1]
-        self._count("pair_hits", len(found))
-        self._count("pair_misses", len(keys) - len(found))
-        return found
-
-    def publish_pairs(self, entries: dict[tuple, float], version: int) -> bool:
-        """Publish pair similarities observed at ``version``.
-
-        Returns False (and writes nothing) when the version is stale.
-        Publication into a full stripe simply stops — the layer is a
-        bounded accelerator, not a store of record.
-        """
-        if version != self._version:
-            self._count("stale_rejections")
-            return False
-        by_stripe: dict[int, list[tuple]] = {}
-        for key in entries:
-            by_stripe.setdefault(self._stripe_of(key), []).append(key)
-        for stripe_index, stripe_keys in by_stripe.items():
-            stripe = self._stripes[stripe_index]
-            with self._stripe_locks[stripe_index]:
-                if version != self._version:
-                    self._count("stale_rejections")
-                    return False
-                for key in stripe_keys:
-                    if len(stripe) >= self._stripe_capacity and key not in stripe:
-                        break
-                    stripe[key] = (version, entries[key])
-        return True
+            # Result keys are (epoch, memo key); the memo key leads with
+            # the pool's fingerprint tuple.
+            dropped = [
+                key
+                for key in self._results
+                if any(fingerprint in stale for fingerprint in key[1][0])
+            ]
+            for key in dropped:
+                del self._results[key]
+        return len(doomed) + len(dropped)
 
     # -- structure layer -------------------------------------------------
 
@@ -358,33 +239,26 @@ class SharedPairCache:
         stored one; its mutable dicts are fresh, so the caller may
         materialize columns without synchronization.
         """
-        if version != self._version:
-            self._count("stale_rejections")
-            return None
-        with self._structures_lock:
-            if version != self._version:
-                self._count("stale_rejections")
+        with self._lock:
+            if self._stale(version):
                 return None
             stored = self._structures.get(key)
             if stored is None or stored[0] != version:
-                self._count("structure_misses")
+                self.structure_misses += 1
                 return None
             self._structures.move_to_end(key)
-            self._count("structure_hits")
+            self.structure_hits += 1
             return stored[1].snapshot()
 
     def publish_structure(
         self, key: tuple, structure: _PoolStructure, version: int
     ) -> bool:
         """Store a snapshot of ``structure`` for other sessions (LRU-bounded)."""
-        if version != self._version or self.structure_capacity == 0:
-            if version != self._version:
-                self._count("stale_rejections")
+        if self.structure_capacity == 0:
             return False
         snapshot = structure.snapshot()
-        with self._structures_lock:
-            if version != self._version:
-                self._count("stale_rejections")
+        with self._lock:
+            if self._stale(version):
                 return False
             self._structures[key] = (version, snapshot)
             self._structures.move_to_end(key)
@@ -392,47 +266,58 @@ class SharedPairCache:
                 self._structures.popitem(last=False)
         return True
 
+    # -- result layer ----------------------------------------------------
+
+    def lookup_result(self, key: tuple, epoch: int, version: int):
+        """The result published for ``key`` under ``epoch``, or ``None``."""
+        with self._lock:
+            if self._stale(version):
+                return None
+            stored = self._results.get((epoch, key))
+            if stored is None or stored[0] != version:
+                self.result_misses += 1
+                return None
+            self._results.move_to_end((epoch, key))
+            self.result_hits += 1
+            return stored[1]
+
+    def publish_result(
+        self, key: tuple, epoch: int, result, version: int
+    ) -> bool:
+        """Share a converged result computed under ``epoch`` (LRU-bounded).
+
+        The caller guarantees ``result`` is deterministic for ``key``
+        (converged, governor off); it must not be mutated afterwards.
+        """
+        with self._lock:
+            if self._stale(version):
+                return False
+            self._results[(epoch, key)] = (version, result)
+            self._results.move_to_end((epoch, key))
+            while len(self._results) > SHARED_RESULT_CAPACITY:
+                self._results.popitem(last=False)
+        return True
+
     # -- introspection ---------------------------------------------------
 
-    def pair_entries(self) -> int:
-        return sum(len(stripe) for stripe in self._stripes)
-
-    def stripe_occupancy(self) -> list[int]:
-        """Entries per stripe, each read under its own lock.
-
-        The per-stripe view the global counters hide: a replica whose
-        key hashing degenerates (or whose stripe count was sized for a
-        different fan-out) shows up as a skewed histogram here long
-        before ``pair_entries`` looks wrong.
-        """
-        occupancy = []
-        for stripe, lock in zip(self._stripes, self._stripe_locks):
-            with lock:
-                occupancy.append(len(stripe))
-        return occupancy
-
-    def stats(self) -> dict[str, object]:
-        occupancy = self.stripe_occupancy()
-        return {
-            "version": self._version,
-            "stripes": self.n_stripes,
-            "pair_entries": sum(occupancy),
-            "stripe_capacity": self._stripe_capacity,
-            "stripe_entries": occupancy,
-            "stripe_min": min(occupancy) if occupancy else 0,
-            "stripe_max": max(occupancy) if occupancy else 0,
-            "pair_hits": self.pair_hits,
-            "pair_misses": self.pair_misses,
-            "structures": len(self._structures),
-            "structure_hits": self.structure_hits,
-            "structure_misses": self.structure_misses,
-            "stale_rejections": self.stale_rejections,
-        }
+    def stats(self) -> dict[str, int]:
+        with self._lock:
+            return {
+                "version": self._version,
+                "structures": len(self._structures),
+                "structure_hits": self.structure_hits,
+                "structure_misses": self.structure_misses,
+                "result_entries": len(self._results),
+                "result_hits": self.result_hits,
+                "result_misses": self.result_misses,
+                "stale_rejections": self.stale_rejections,
+            }
 
     def __repr__(self) -> str:
         return (
-            f"SharedPairCache(v{self._version}, {self.pair_entries()} pairs, "
-            f"{len(self._structures)}/{self.structure_capacity} structures)"
+            f"SharedSelectionCache(v{self._version}, "
+            f"{len(self._structures)}/{self.structure_capacity} structures, "
+            f"{len(self._results)} results)"
         )
 
 
@@ -486,7 +371,7 @@ class GroupSpaceRuntime:
     group space, the partially materialized similarity index (built with
     the batched lexsort ranking, so construction scales to very large
     spaces), the pooled membership CSR behind it, and the cross-session
-    :class:`SharedPairCache`.  The space/index pair lives in a
+    :class:`SharedSelectionCache`.  The space/index pair lives in a
     :class:`StoreEpoch`; :meth:`apply_deltas` swaps in a delta-maintained
     new epoch without ever stalling readers, while the legacy
     :meth:`bump_version` full flush remains for wholesale re-discovery.
@@ -501,10 +386,9 @@ class GroupSpaceRuntime:
         space: GroupSpace,
         index: Optional[SimilarityIndex] = None,
         materialize_fraction: float = 0.10,
-        shared: Optional[SharedPairCache] = None,
+        shared: Optional[SharedSelectionCache] = None,
         share_cache: bool = True,
         name: Optional[str] = None,
-        cache_stripes: Optional[int] = None,
         retain_epochs: int = 4,
     ) -> None:
         #: Routing identity when this runtime is hosted by a
@@ -535,13 +419,10 @@ class GroupSpaceRuntime:
             [(0, self._epoch)]
         )
         self._mutate_lock = threading.Lock()
-        self.shared: Optional[SharedPairCache] = (
+        self.shared: Optional[SharedSelectionCache] = (
             shared
             if shared is not None
-            # The pair fan-out a session can publish under is bounded by
-            # the space size, so pass it to the adaptive stripe sizing
-            # (an explicit ``cache_stripes`` keeps the fixed layout).
-            else SharedPairCache(stripes=cache_stripes, fanout=len(space))
+            else SharedSelectionCache()
             if share_cache
             else None
         )
@@ -777,21 +658,25 @@ class GroupSpaceRuntime:
         self,
         capacity: int = 32,
         result_capacity: int = 64,
-        index: Optional[SimilarityIndex] = None,
+        epoch: Optional[StoreEpoch] = None,
     ) -> PoolStatsCache:
         """A per-session pool cache wired to this runtime's shared layer.
 
-        ``index`` selects the epoch whose membership CSR seeds the cache
-        (a session resumed onto a retained older epoch must slice *that*
-        generation's rows); defaults to the current epoch's.
+        ``epoch`` is the generation the session is pinned to (defaults
+        to the current one): its membership CSR seeds the cache — a
+        session resumed onto a retained older epoch must slice *that*
+        generation's rows — and its number scopes the shared results the
+        cache may be served.
         """
-        index = index if index is not None else self.index
-        return PoolStatsCache(
+        epoch = epoch if epoch is not None else self._epoch
+        cache = PoolStatsCache(
             capacity=capacity,
             result_capacity=result_capacity,
-            space_matrix=index.membership_csr(),
+            space_matrix=epoch.index.membership_csr(),
             shared=self.shared,
         )
+        cache.epoch = epoch.number
+        return cache
 
     def create_session(
         self, config: Optional["SessionConfig"] = None
@@ -808,7 +693,7 @@ class GroupSpaceRuntime:
         cls,
         dataset,
         directory: str | Path,
-        shared: Optional[SharedPairCache] = None,
+        shared: Optional[SharedSelectionCache] = None,
         share_cache: bool = True,
         name: Optional[str] = None,
     ) -> "GroupSpaceRuntime":
@@ -831,7 +716,7 @@ class GroupSpaceRuntime:
         cls,
         dataset,
         attached,
-        shared: Optional[SharedPairCache] = None,
+        shared: Optional[SharedSelectionCache] = None,
         share_cache: bool = True,
         name: Optional[str] = None,
         retain_epochs: int = 4,

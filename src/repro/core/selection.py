@@ -98,10 +98,14 @@ records the resume).  Untimed runs never resume — they are the
 deterministic parity oracles.
 
 When the session cache is wired to a
-:class:`repro.core.runtime.SharedPairCache` (multi-session serving), the
-structure and Jaccard-pair layers are additionally warmed by *other*
-sessions over the same group space; feedback, result and governor layers
-stay session-private.
+:class:`repro.core.runtime.SharedSelectionCache` (multi-session
+serving), the structure layer is additionally warmed by *other* sessions
+over the same group space, and results are shared across sessions pinned
+to the same store epoch: a call whose swap phase converged with the
+governor off never hit its deadline, so it equals the untimed result for
+its memo key and is published for any session that repeats the inputs.
+Budget-aborted and governed results stay private; so do the feedback and
+governor layers.
 """
 
 from __future__ import annotations
@@ -426,8 +430,8 @@ class _VectorEngine:
     - the pool×pool Jaccard matrix is materialized lazily, one *column*
       per group that actually enters the selection (one sparse mat-vec,
       cached on the shared :class:`~repro.core.poolcache._PoolStructure`
-      so later calls on the same pool — and, via the cache's pair layer,
-      on overlapping pools — start with the columns already filled);
+      so later calls on the same pool start with the columns already
+      filled);
     - ``cover`` — CSR pool×relevant incidence, so every candidate's
       marginal coverage is one mat-vec against ``uncovered_weights``;
     - ``attrs`` — pool×attribute boolean description matrix, so the
@@ -691,8 +695,9 @@ def select_k(
 
     ``cache`` (optional) is a session-scoped
     :class:`~repro.core.poolcache.PoolStatsCache`; repeated or
-    overlapping pools then reuse their precomputed statistics, and a call
-    identical in every fingerprinted input returns its memoized result.
+    permuted pools then reuse their precomputed statistics, and a call
+    identical in every fingerprinted input returns its memoized result
+    (this session's, or a converged one shared by another session).
     ``prior_key`` is the caller's hashable identity for ``prior`` — when
     a prior is supplied without a key, the feedback layer and result memo
     are skipped (never guessed) and only structural reuse applies.
@@ -790,6 +795,9 @@ def select_k(
                 groups=list(result.groups),
                 tier_scores=list(result.tier_scores),
             ),
+            # Converged without the governor: deterministic in its key,
+            # so other sessions may be served it.
+            share=result.phases_completed == 3 and not config.governor,
         )
     return result
 

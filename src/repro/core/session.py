@@ -170,12 +170,12 @@ class ExplorationSession:
         # content fingerprints (transparent), seeded with the runtime's
         # membership matrix so cold pools slice rows instead of
         # rebuilding, and wired to the runtime's cross-session layer
-        # (when it has one) so other sessions' precomputation is
-        # consulted before computing.  Feedback/result layers stay
-        # private to this session.
+        # (when it has one) so other sessions' precomputation and
+        # converged results are consulted before computing.  The
+        # feedback and governor layers stay private to this session.
         self.pool_cache: Optional[PoolStatsCache] = (
             runtime.session_cache(
-                capacity=self.config.cache_capacity, index=self.index
+                capacity=self.config.cache_capacity, epoch=self.epoch
             )
             if self.config.cache_pools
             else None
@@ -198,7 +198,7 @@ class ExplorationSession:
         self.context = ContextView(self.feedback, self.space.dataset)
         if self.pool_cache is not None:
             self.pool_cache = self.runtime.session_cache(
-                capacity=self.config.cache_capacity, index=self.index
+                capacity=self.config.cache_capacity, epoch=epoch
             )
 
     # ------------------------------------------------------------------

@@ -219,19 +219,20 @@ class Observability:
             self.event_published.labels().inc(published - current)
 
     def register_shared_cache(self, space: str, cache) -> None:
-        """Mirror a ``SharedPairCache``'s stats onto the registry.
+        """Mirror a ``SharedSelectionCache``'s stats onto the registry.
 
         Registered as an export-time collector, so the gauge family
-        ``repro_shared_cache{space,stat}`` reads the live stripe stats
+        ``repro_shared_cache{space,stat}`` reads the live cache stats
         exactly when something scrapes — no polling thread, and
         ``/healthz`` and ``/metrics`` report from the same
         ``cache.stats()`` source.
         """
         family = self.registry.gauge(
-            "repro_shared_cache", "SharedPairCache stats, by space and stat"
+            "repro_shared_cache",
+            "SharedSelectionCache stats, by space and stat",
         )
         stats_keys = (
-            "pair_entries", "pair_hits", "pair_misses",
+            "result_entries", "result_hits", "result_misses",
             "structures", "structure_hits", "structure_misses",
             "stale_rejections",
         )

@@ -2,7 +2,7 @@
 
 The serving tier (PRs 4-9) accumulated its operational numbers ad hoc:
 ``sweep_failures`` on the HTTP front, ``respawn_failures`` dicts on the
-replica fleets, journal ``append_ms`` lists, ``SharedPairCache.stats()``
+replica fleets, journal ``append_ms`` lists, shared-cache ``stats()``
 dicts — each surfaced through a different corner of ``/healthz``.  This
 module is the single store they migrate onto: one
 :class:`MetricsRegistry` per process, three instrument kinds, labeled
@@ -15,9 +15,9 @@ series, and two export surfaces —
   existing ``/internal/`` control surface so the parent router can serve
   one fleet-wide ``/metrics`` with ``worker`` labels.
 
-Concurrency follows the :class:`~repro.core.runtime.SharedPairCache`
-recipe: updates take one of ``stripes`` locks chosen by series-key hash,
-so concurrent clicks on different series never contend on a global lock.
+Concurrency is lock-striped: updates take one of ``stripes`` locks chosen
+by series-key hash, so concurrent clicks on different series never
+contend on a global lock.
 A series handle resolves its stripe once at creation; the per-update
 cost is one lock acquire + a float add.  Registries are cheap enough to
 create per worker and throw away on respawn — which is exactly how the
@@ -196,7 +196,7 @@ class MetricsRegistry:
     ``collectors`` registered via :meth:`register_collector` run at
     export time (both :meth:`render` and :meth:`dump`) — the hook that
     lets gauge families mirror live structures
-    (:class:`~repro.core.runtime.SharedPairCache` stripe stats, registry
+    (:class:`~repro.core.runtime.SharedSelectionCache` stats, registry
     occupancy) without polling threads: the stats are pulled exactly
     when something scrapes.
     """

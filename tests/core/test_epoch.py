@@ -13,7 +13,7 @@ Four claims, matching the ``GroupSpaceRuntime.apply_deltas`` docstring:
 - **index parity** — the delta-maintained similarity index is bitwise
   identical (serving prefix) to a full rebuild on the mutated space,
   fuzzed over random add/remove/churn mixes.
-- **surgical invalidation** — the shared pair cache drops exactly the
+- **surgical invalidation** — the shared selection cache drops exactly the
   entries whose content fingerprints went stale; unrelated entries stay
   warm and the full-flush version counter does not move.
 """
@@ -185,13 +185,26 @@ class TestSurgicalInvalidation:
         shown = session.start()
         session.click(shown[0].gid)
         shared = runtime.shared
-        before_entries = shared.pair_entries()
+
+        def entries() -> int:
+            stats = shared.stats()
+            return stats["structures"] + stats["result_entries"]
+
+        # Churn one group that sits in exactly one of the two served
+        # pools (start and click): that pool's entries go stale, the
+        # other pool's entries must survive.
+        pools = [{fingerprint[0] for fingerprint in key[0]} for key in shared._structures]
+        assert len(pools) == 2
+        gid = min((pools[1] - pools[0]) or (pools[0] - pools[1]))
+        delta = GroupDelta.build(changed=[(gid, space[gid].members[:-1])])
+        before_entries = entries()
         before_version = shared.version
-        assert before_entries > 0
-        report = runtime.apply_deltas(churn_delta(space, 42, fraction=0.01))
+        assert shared.stats()["result_entries"] == 2
+        report = runtime.apply_deltas(delta)
         assert shared.version == before_version  # no full flush
-        assert report["cache_entries_dropped"] < before_entries
-        assert shared.pair_entries() > 0  # unrelated entries stay warm
+        assert 0 < report["cache_entries_dropped"] < before_entries
+        assert entries() == before_entries - report["cache_entries_dropped"]
+        assert entries() > 0  # unrelated entries stay warm
 
     def test_removed_group_fingerprints_are_dropped(self, space):
         runtime = GroupSpaceRuntime(space)
@@ -199,7 +212,7 @@ class TestSurgicalInvalidation:
         shown = session.start()
         session.click(shown[0].gid)
         # Remove the displayed groups themselves: their fingerprints are
-        # all over the freshly published pair entries.
+        # in every freshly published structure and result.
         delta = GroupDelta.build(removed=[group.gid for group in shown])
         report = runtime.apply_deltas(delta)
         assert report["cache_entries_dropped"] > 0

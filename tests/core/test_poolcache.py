@@ -171,8 +171,8 @@ class TestFourWayParity:
     def test_overlapping_pools_patch_jaccard_pairs_exactly(
         self, pool, relevant, feedback
     ):
-        # A subset pool (simulating a neighboring click) assembles its
-        # Jaccard columns from published pairs; scores must not drift.
+        # A subset pool (simulating a neighboring click) is a different
+        # structure with its own Jaccard columns; scores must not drift.
         config = untimed(k=3)
         cache = PoolStatsCache()
         select_k(pool, relevant, feedback, config, cache=cache)
@@ -418,16 +418,7 @@ class TestEviction:
         with pytest.raises(ValueError):
             PoolStatsCache(capacity=0)
         with pytest.raises(ValueError):
-            PoolStatsCache(pair_capacity=-1)
-
-    def test_pair_dict_stays_bounded(self):
-        cache = PoolStatsCache(pair_capacity=10)
-        config = untimed(k=3)
-        relevant = np.arange(UNIVERSE)
-        for pool in self.make_pools(4):
-            select_k(pool, relevant, config=config, cache=cache)
-        # Publication stops at the cap instead of growing without bound.
-        assert len(cache._pair_sims) <= 10 + max(len(p) for p in self.make_pools(1))
+            PoolStatsCache(result_capacity=-1)
 
     def test_clear_resets_everything(self):
         cache = PoolStatsCache()
@@ -437,7 +428,7 @@ class TestEviction:
         assert len(cache) == 1
         cache.clear()
         assert len(cache) == 0
-        assert cache.stats()["pair_entries"] == 0
+        assert len(cache._results) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ Three contracts, matching §II's multi-user setting:
   session over a private stack shows.  Cross-session caching is a pure
   performance layer.
 - **no feedback leakage** — one session's clicks must never alter
-  another session's CONTEXT: the feedback/result layers are private per
-  session by construction, and the threaded stress asserts it.
-- **version invalidation** — :class:`SharedPairCache` entries are
+  another session's CONTEXT: the feedback layer is private per session
+  by construction, shared results are keyed on feedback content, and the
+  threaded stress asserts it.
+- **version invalidation** — :class:`SharedSelectionCache` entries are
   stamped with the runtime version; a store mutation bumps it, after
   which stale reads miss and in-flight publications that observed the
   old version are refused (the hypothesis case drives the interleaving).
@@ -30,7 +31,7 @@ from repro.core.runtime import (
     GroupSpaceRuntime,
     SessionLimitError,
     SessionManager,
-    SharedPairCache,
+    SharedSelectionCache,
     UnknownSessionError,
     scripted_click_gid,
 )
@@ -135,13 +136,14 @@ class TestThreadedServingParity:
         drive(0)  # session 1 pays the cross-session cold start
         with ThreadPoolExecutor(max_workers=4) as pool:
             summaries = list(pool.map(drive, range(4)))
-        # Later sessions were served structures another session built.
+        # Later sessions replay session 1's walk exactly, so they are
+        # served the results session 1 converged on.
         assert all(
-            summary["cache"]["shared_structure_hits"] > 0
+            summary["cache"]["shared_result_hits"] > 0
             for summary in summaries
         )
         assert runtime.shared is not None
-        assert runtime.shared.stats()["structure_hits"] > 0
+        assert runtime.shared.stats()["result_hits"] > 0
 
     def test_same_session_clicks_serialize_without_corruption(self, space):
         runtime = GroupSpaceRuntime(space)
@@ -363,12 +365,14 @@ class TestRuntimeVersioning:
         shown = session.start()
         session.click(shown[0].gid)
         shared = runtime.shared
-        assert shared.pair_entries() > 0
+        stats = shared.stats()
+        assert stats["structures"] > 0 and stats["result_entries"] > 0
         before = runtime.version
         runtime.bump_version()
         assert runtime.version == before + 1
-        assert shared.pair_entries() == 0
-        assert shared.stats()["structures"] == 0
+        stats = shared.stats()
+        assert stats["structures"] == 0
+        assert stats["result_entries"] == 0
 
     def test_new_sessions_after_bump_still_match_solo(self, space):
         expected_displays, _, _ = solo_replay(space, 3)
@@ -406,30 +410,37 @@ class TestSharedPairCacheVersioning:
         bumps_before_publish=st.integers(0, 2),
         bumps_before_read=st.integers(0, 2),
     )
-    def test_pair_layer_version_stamps(
+    def test_result_layer_version_stamps(
         self, entries, bumps_before_publish, bumps_before_read
     ):
-        shared = SharedPairCache(stripes=4)
+        shared = SharedSelectionCache()
         observed = shared.version
         for _ in range(bumps_before_publish):
             shared.bump_version()
-        published = shared.publish_pairs(entries, observed)
+        published = [
+            shared.publish_result(key, 0, value, observed)
+            for key, value in entries.items()
+        ]
         # A publication that observed an older version must be refused.
-        assert published == (bumps_before_publish == 0)
+        assert published == [bumps_before_publish == 0] * len(entries)
         for _ in range(bumps_before_read):
             shared.bump_version()
-        found = shared.get_pairs(list(entries), shared.version)
+        found = {
+            key: shared.lookup_result(key, 0, shared.version) for key in entries
+        }
         if bumps_before_publish == 0 and bumps_before_read == 0:
-            assert found == pytest.approx(entries)
+            assert found == entries
         else:
-            assert found == {}
+            assert set(found.values()) == {None}
         # Reads stamped with a stale version never return anything.
-        assert shared.get_pairs(list(entries), observed - 1) == {}
+        assert all(
+            shared.lookup_result(key, 0, observed - 1) is None for key in entries
+        )
 
     @settings(deadline=None, max_examples=15)
     @given(seed=st.integers(0, 50), bump=st.booleans())
     def test_structure_layer_version_stamps(self, seed, bump):
-        shared = SharedPairCache()
+        shared = SharedSelectionCache()
         structure = make_structure(seed)
         observed = shared.version
         assert shared.publish_structure(structure.key, structure, observed)
@@ -454,20 +465,23 @@ class TestSharedPairCacheVersioning:
     def test_mid_bump_reader_never_served_uncleared_entries(self):
         """Regression: the historical bump race, frozen at its window.
 
-        ``bump_version`` increments the version first and sweeps the
-        stripes second.  The pre-stamp implementation stored bare
-        similarities, so a reader observing the *new* version inside
-        that window passed the staleness check and was served
-        pre-mutation pairs.  Publication stamps close it: this test
-        freezes the bump halfway (version moved, stripes untouched) and
-        the old entries must already be invisible.
+        A bump that moved the version but has not swept the layers yet
+        must not let a reader observing the *new* version be served an
+        entry published under the old one.  Publication stamps close
+        that window: this test freezes the bump halfway (version moved,
+        entries untouched) and the old entries must already be
+        invisible.
         """
-        shared = SharedPairCache(stripes=2)
-        entries = {(1, 2): 0.5, (3, 4): 0.25}
-        assert shared.publish_pairs(entries, shared.version)
-        with shared._version_lock:
-            shared._version += 1  # bump'd, stripes not yet swept
-        assert shared.get_pairs(list(entries), shared.version) == {}
+        shared = SharedSelectionCache()
+        entries = {("pool", 1): "display-1", ("pool", 2): "display-2"}
+        for key, value in entries.items():
+            assert shared.publish_result(key, 0, value, shared.version)
+        with shared._lock:
+            shared._version += 1  # bump'd, entries not yet swept
+        assert all(
+            shared.lookup_result(key, 0, shared.version) is None for key in entries
+        )
+        assert shared.stats()["result_entries"] == len(entries)
 
     def test_concurrent_bumps_never_serve_cross_version_values(self):
         """Black-box interleave: values encode their publication version.
@@ -479,27 +493,27 @@ class TestSharedPairCacheVersioning:
         """
         import threading
 
-        shared = SharedPairCache(stripes=2)
+        shared = SharedSelectionCache()
         stop = threading.Event()
         torn: list[tuple] = []
+        keys = [("pool", i) for i in range(8)]
 
         def publisher():
             while not stop.is_set():
                 version = shared.version
-                shared.publish_pairs(
-                    {(i, i + 1): float(version) for i in range(8)}, version
-                )
+                for key in keys:
+                    shared.publish_result(key, 0, float(version), version)
 
         def bumper():
             while not stop.is_set():
                 shared.bump_version()
 
         def reader():
-            keys = [(i, i + 1) for i in range(8)]
             while not stop.is_set():
                 version = shared.version
-                for key, value in shared.get_pairs(keys, version).items():
-                    if value != float(version):
+                for key in keys:
+                    value = shared.lookup_result(key, 0, version)
+                    if value is not None and value != float(version):
                         torn.append((key, value, version))
 
         threads = [
@@ -515,7 +529,7 @@ class TestSharedPairCacheVersioning:
         assert torn == []
 
     def test_snapshot_columns_do_not_alias_sessions(self):
-        shared = SharedPairCache()
+        shared = SharedSelectionCache()
         structure = make_structure(7)
         structure.sim_column(0)
         shared.publish_structure(structure.key, structure, shared.version)
@@ -526,7 +540,7 @@ class TestSharedPairCacheVersioning:
         assert 1 not in second.sim_columns
 
     def test_session_cache_observes_version_per_structure(self):
-        shared = SharedPairCache()
+        shared = SharedSelectionCache()
         cache = PoolStatsCache(shared=shared)
         structure = make_structure(3)
         served, state = cache.structure_for(structure.pool, structure.relevant)

@@ -157,9 +157,9 @@ class TestSingleProcessMetrics:
                 stats = {
                     labels["stat"]: value for labels, value in series
                 }
-                assert "pair_entries" in stats
+                assert "structures" in stats and "result_entries" in stats
                 # The walk populated the cross-session cache.
-                assert stats["pair_entries"] > 0
+                assert stats["structures"] > 0 or stats["result_entries"] > 0
         finally:
             service.stop()
 

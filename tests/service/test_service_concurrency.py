@@ -134,11 +134,13 @@ class TestContendedClients:
                         lambda _: http_replay(service, N_CLICKS), range(4)
                     )
                 )
+            # Every later client replays session 1's walk, so it is served
+            # the results session 1 converged on.
             assert all(
-                summary["cache"]["shared_structure_hits"] > 0
+                summary["cache"]["shared_result_hits"] > 0
                 for _displays, _feedback, summary in outcomes
             )
-            assert manager.runtime.shared.stats()["structure_hits"] > 0
+            assert manager.runtime.shared.stats()["result_hits"] > 0
 
     def test_same_session_concurrent_clicks_serialize(self, space):
         manager = SessionManager(

@@ -1,5 +1,7 @@
 """The command-line interface, driven through main() with scripts."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,11 @@ class TestServe:
         assert code == 0
         out = capsys.readouterr().out
         assert "runtime ready" in out and "shared cache" in out
+        assert re.search(
+            r"shared cache: \d+ structures \(\d+ hits\), "
+            r"\d+ results \(\d+ hits\)",
+            out,
+        )
         assert out.count("clicks, p50") == 3
         assert "all sessions: p50" in out
 
