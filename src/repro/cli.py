@@ -22,7 +22,7 @@ stand-in for many analysts hitting one VEXUS deployment.
 ``serve --http`` turns the replay into an actual network service: a
 JSON-over-HTTP front (:mod:`repro.service`) over the same manager, with
 durable sessions when ``--state-dir`` is given (every interaction is
-checkpointed; ``open`` with a resume token restores a session across
+journaled; ``open`` with a resume token restores a session across
 server restarts) and an idle sweeper (``--idle-ttl``) that persists and
 evicts abandoned sessions::
 
@@ -204,7 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--state-dir", default=None,
-        help="durable sessions: checkpoint every interaction here and "
+        help="durable sessions: append every interaction to a "
+        "digest-chained per-session journal here (one fsync per click, "
+        "compacted to a snapshot every --compact-every records) and "
         "accept resume tokens across restarts",
     )
     serve.add_argument(
@@ -229,15 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
         "journal_fsync, arena_attach) under its X-Repro-Trace id",
     )
     serve.add_argument(
-        "--journal", action="store_true",
-        help="journal durability (needs --state-dir): append each "
-        "interaction to a digest-chained per-session journal (O(1) "
-        "fsync per click) and compact to a snapshot periodically, "
-        "instead of rewriting the full snapshot every interaction",
-    )
-    serve.add_argument(
         "--compact-every", type=int, default=64,
-        help="journal records between compactions (needs --journal)",
+        help="journal records between compactions (needs --state-dir)",
     )
     serve.set_defaults(handler=cmd_serve)
 
@@ -500,9 +495,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.idle_ttl is not None and args.state_dir is None:
         print("--idle-ttl needs --state-dir", file=sys.stderr)
         return 2
-    if args.journal and args.state_dir is None:
-        print("--journal needs --state-dir", file=sys.stderr)
-        return 2
     if args.compact_every < 1:
         print("--compact-every must be >= 1", file=sys.stderr)
         return 2
@@ -562,7 +554,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         ),
         max_sessions=args.max_sessions,
         state_dir=args.state_dir,
-        durability="journal" if args.journal else "snapshot",
         compact_every=args.compact_every,
     )
     if args.http:
@@ -723,7 +714,6 @@ def _serve_pool_spaces(args: argparse.Namespace) -> int:
         port=args.port,
         tag=tag,
         state_dir=args.state_dir,
-        durability="journal" if args.journal else "snapshot",
         compact_every=args.compact_every,
         default_config=SessionConfig(
             k=args.k, time_budget_ms=args.budget_ms, use_profile=False
@@ -748,7 +738,7 @@ def _serve_pool_spaces(args: argparse.Namespace) -> int:
         service.stop()
         raise
     durable = (
-        f"durable ({pool.durability}, state in {pool.state_dir})"
+        f"durable (journal, state in {pool.state_dir})"
         if pool.state_dir is not None
         else "in-memory sessions"
     )
@@ -793,7 +783,6 @@ def _serve_spaces(args: argparse.Namespace) -> int:
         ),
         max_sessions=args.max_sessions,
         idle_ttl_s=args.idle_ttl,
-        durability="journal" if args.journal else "snapshot",
         compact_every=args.compact_every,
     )
     service = ExplorationService(
@@ -804,7 +793,7 @@ def _serve_spaces(args: argparse.Namespace) -> int:
         slow_click_ms=args.slow_click_ms,
     ).start()
     durable = (
-        f"durable ({registry.durability}, state in {registry.state_dir})"
+        f"durable (journal, state in {registry.state_dir})"
         if registry.state_dir is not None
         else "in-memory sessions"
     )
@@ -849,7 +838,7 @@ def _serve_http(
         slow_click_ms=args.slow_click_ms,
     ).start()
     durable = (
-        f"durable ({manager.durability}, state in {manager.state_dir})"
+        f"durable (journal, state in {manager.state_dir})"
         if manager.state_dir is not None
         else "in-memory sessions"
     )

@@ -1,11 +1,10 @@
 """Append-only per-session interaction journal with digest-chained records.
 
-PR 4 made sessions durable by rewriting the whole JSON snapshot on every
-click — O(session length) per interaction, which for the long analyst
-walks of §II means the durable cost of click 200 is ~40x that of click
-5.  This module is the event-sourced alternative (the ROADMAP's
-"append-only session journal" item, and the idiom of the avrae
-producer/consumer split it cites): one small fsync'd record per
+Rewriting the whole JSON snapshot on every click costs O(session length)
+per interaction, which for the long analyst walks of §II makes the
+durable cost of click 200 ~40x that of click 5.  This module is the
+event-sourced store that every durable session uses instead (the idiom
+of the avrae producer/consumer split): one small fsync'd record per
 interaction, snapshots demoted to periodic *compaction*.
 
 Record frame (all integers big-endian)::

@@ -805,12 +805,12 @@ class _ManagedSession:
     only a handle into this process's registry).  ``last_active`` is the
     monotonic instant of the last interaction, read by the idle sweeper.
 
-    ``journal`` is the session's append-only interaction log
-    (journal-durability managers only).  ``retired`` flips — under the
-    instance lock — when close/eviction has persisted the final state
-    and deregistered the session: an interaction that was blocked on the
-    lock while that happened must observe it and refuse, instead of
-    mutating an orphan whose changes could never be persisted again.
+    ``journal`` is the session's append-only interaction log (durable
+    managers only).  ``retired`` flips — under the instance lock — when
+    close/eviction has persisted the final state and deregistered the
+    session: an interaction that was blocked on the lock while that
+    happened must observe it and refuse, instead of mutating an orphan
+    whose changes could never be persisted again.
     """
 
     __slots__ = (
@@ -889,34 +889,28 @@ class SessionManager:
     warmth flows exclusively through the runtime's shared cache — the
     manager never lets one session touch another's state.
 
-    With a ``state_dir`` the manager is *durable*: every session gets a
-    resume token, every state-mutating interaction checkpoints the
-    session (so a crashed process loses at most the interaction in
-    flight), ``close`` and the :meth:`evict_idle` sweeper persist the
-    final state, and ``open_session(resume=<token>)`` restores the
-    session — feedback, history tree, memo, profile and governor-tier
-    state intact, digest-validated against the live space — onto this
-    runtime.
+    Without a ``state_dir`` sessions live in memory only.  With one the
+    manager is *durable*, and the session's
+    :class:`~repro.core.journal.SessionJournal` is how: every session
+    gets a resume token, and every interaction appends one fsync'd,
+    digest-chained record to its journal — O(1) per click, so a crashed
+    process loses at most the interaction in flight.  Every
+    ``compact_every`` interactions, and on open, resume, close and idle
+    eviction, the journal is folded into a snapshot (``session.json``)
+    and rotated.  ``open_session(resume=<token>)`` loads the snapshot,
+    replays the verified journal tail and restores the session —
+    feedback, history tree, memo, profile and governor-tier state
+    intact, digest-validated against the live space — onto this runtime.
 
-    ``durability`` picks *how* interactions are made durable:
-
-    - ``"snapshot"`` (default, the PR 4 behaviour): every interaction
-      rewrites the full JSON snapshot — O(session length) per click.
-    - ``"journal"``: every interaction appends one fsync'd,
-      digest-chained record to the session's
-      :class:`~repro.core.journal.SessionJournal` — O(1) per click —
-      and every ``compact_every`` interactions (plus on open, resume,
-      close and eviction) the journal is folded into a snapshot and
-      rotated.  Resume loads the snapshot and replays the verified
-      journal tail; resume tokens are unchanged.
-
-    A failed journal append rolls the in-memory interaction back and
-    raises a typed :class:`~repro.core.journal.DurabilityError` (HTTP:
-    503) — the state the client saw acknowledged is exactly the state
-    on disk, never silently more or less.  The manager then flips
-    ``degraded`` (surfaced in :meth:`stats`, ``/healthz`` and
-    ``/spaces``) and refuses further mutations until :meth:`heal`
-    manages a clean checkpoint of every live session.
+    A failed durable write raises a typed
+    :class:`~repro.core.journal.DurabilityError` (HTTP: 503).  A failed
+    append rolls the in-memory interaction back; a failed open, close
+    or eviction checkpoint leaves the session where it was — the state
+    the client saw acknowledged is exactly the state on disk, never
+    silently more or less.  The manager then flips ``degraded``
+    (surfaced in :meth:`stats`, ``/healthz`` and ``/spaces``) and
+    refuses further mutations until :meth:`heal` manages a clean
+    checkpoint of every live session.
     """
 
     def __init__(
@@ -925,20 +919,12 @@ class SessionManager:
         default_config: Optional["SessionConfig"] = None,
         max_sessions: Optional[int] = None,
         state_dir: Optional[str | Path] = None,
-        checkpoint_interactions: bool = True,
         id_prefix: str = "",
-        durability: str = "snapshot",
         compact_every: int = 64,
         obs=None,
     ) -> None:
         if max_sessions is not None and max_sessions < 1:
             raise ValueError("max_sessions must be >= 1")
-        if durability not in ("snapshot", "journal"):
-            raise ValueError(
-                f"durability must be 'snapshot' or 'journal', got {durability!r}"
-            )
-        if durability == "journal" and state_dir is None:
-            raise ValueError("durability='journal' needs a state_dir")
         if compact_every < 1:
             raise ValueError("compact_every must be >= 1")
         # Prefixes flow into session ids and from there into resume
@@ -960,11 +946,6 @@ class SessionManager:
         self.default_config = default_config
         self.max_sessions = max_sessions
         self.state_dir = Path(state_dir) if state_dir is not None else None
-        #: Checkpoint after every click/backtrack (durable managers only).
-        #: Off, state is written only on close / idle eviction — cheaper,
-        #: but a crash loses everything since the session opened.
-        self.checkpoint_interactions = checkpoint_interactions
-        self.durability = durability
         self.compact_every = compact_every
         #: Sticky durability-failure flag: set when a journal append (or
         #: a final checkpoint) fails; mutations refuse with
@@ -1122,18 +1103,17 @@ class SessionManager:
                 )
                 managed.session = session
                 load_session_state(session, directory)
-                if self.durability == "journal":
-                    # Recovery = last compacted snapshot (just loaded) +
-                    # replay of the verified journal tail; then compact,
-                    # folding the tail in and starting a fresh journal.
-                    managed.journal = SessionJournal(directory)
-                    managed.journal.recover(session)
-                    try:
-                        managed.journal.compact(session)
-                    except OSError as error:
-                        raise self._durability_failed(
-                            f"post-recovery compaction failed: {error}"
-                        ) from error
+                # Recovery = last compacted snapshot (just loaded) +
+                # replay of the verified journal tail; then compact,
+                # folding the tail in and starting a fresh journal.
+                managed.journal = SessionJournal(directory)
+                managed.journal.recover(session)
+                try:
+                    managed.journal.compact(session)
+                except OSError as error:
+                    raise self._durability_failed(
+                        f"post-recovery compaction failed: {error}"
+                    ) from error
                 shown = session.displayed()
                 # Every click records exactly one step with a clicked
                 # gid, so the restored counter matches what an
@@ -1154,8 +1134,6 @@ class SessionManager:
                 try:
                     self._persist(managed)
                 except OSError as error:
-                    if self.durability != "journal":
-                        raise
                     raise self._durability_failed(
                         f"initial checkpoint failed: {error}"
                     ) from error
@@ -1171,27 +1149,21 @@ class SessionManager:
         return session_id, shown
 
     def _persist(self, managed: _ManagedSession) -> None:
-        """Write the session's durable state (no-op without a state_dir).
+        """Compact the session's journal (no-op without a state_dir).
 
-        Snapshot durability rewrites the full snapshot; journal
-        durability *compacts* — snapshot plus journal rotation — which
-        is also how a fresh session's journal is created.  Callers hold
+        Compaction — snapshot plus journal rotation — is also how a
+        fresh session's journal is created.  Callers hold
         ``managed.lock``, so checkpoints of one session are serialized
         with its interactions and with close/eviction.
         """
         if self.state_dir is None or managed.session is None:
             return
-        if self.durability == "journal":
-            if managed.journal is None:
-                managed.journal = SessionJournal(self.state_dir / managed.token)
-            managed.journal.compact(managed.session)
-            return
-        from repro.core.store import save_session_state
-
-        save_session_state(managed.session, self.state_dir / managed.token)
+        if managed.journal is None:
+            managed.journal = SessionJournal(self.state_dir / managed.token)
+        managed.journal.compact(managed.session)
 
     def _check_durability(self) -> None:
-        """Refuse mutations on a degraded manager (journal mode)."""
+        """Refuse mutations on a degraded manager."""
         if self.degraded:
             raise DurabilityError(
                 "space is durability-degraded "
@@ -1296,16 +1268,13 @@ class SessionManager:
         with managed.lock:
             if managed.retired:
                 raise UnknownSessionError(session_id)
-            if self.durability == "journal":
-                self._check_durability()
-                try:
-                    self._persist(managed)
-                except OSError as error:
-                    raise self._durability_failed(
-                        f"final checkpoint failed: {error}"
-                    ) from error
-            else:
+            self._check_durability()
+            try:
                 self._persist(managed)
+            except OSError as error:
+                raise self._durability_failed(
+                    f"final checkpoint failed: {error}"
+                ) from error
             managed.retired = True
             with self._lock:
                 self._sessions.pop(session_id, None)
@@ -1322,14 +1291,14 @@ class SessionManager:
         The durable twin of admission control: long-gone analysts stop
         holding live-session slots (and their private caches), yet their
         resume tokens still restore them exactly where they left off.
-        Returns the evicted sessions' summaries.  Each session is
-        persisted (journal mode: compacted) *before* it is deregistered,
-        under its own lock — an interaction that held the lock completes
-        and is included in the final checkpoint; one that was waiting
-        observes the retirement and gets :class:`UnknownSessionError`
-        instead of mutating an orphan.  A session whose final checkpoint
-        fails stays live for the next sweep rather than being dropped
-        with unpersisted state.
+        Returns the evicted sessions' summaries.  Each session's journal
+        is compacted *before* it is deregistered, under its own lock —
+        an interaction that held the lock completes and is included in
+        the final checkpoint; one that was waiting observes the
+        retirement and gets :class:`UnknownSessionError` instead of
+        mutating an orphan.  A session whose final checkpoint fails
+        stays live for the next sweep (and degrades the manager) rather
+        than being dropped with unpersisted state.
         """
         if idle_seconds < 0:
             raise ValueError("idle_seconds must be >= 0")
@@ -1348,10 +1317,9 @@ class SessionManager:
                 try:
                     self._persist(managed)
                 except OSError as error:
-                    if self.durability == "journal":
-                        self._durability_failed(
-                            f"eviction checkpoint failed: {error}"
-                        )
+                    self._durability_failed(
+                        f"eviction checkpoint failed: {error}"
+                    )
                     continue
                 managed.retired = True
                 with self._lock:
@@ -1383,13 +1351,6 @@ class SessionManager:
         persisted; mutating the orphan would silently diverge from it)."""
         if managed.retired:
             raise UnknownSessionError(session_id)
-
-    def _journaled(self, managed: _ManagedSession) -> bool:
-        return (
-            self.durability == "journal"
-            and self.checkpoint_interactions
-            and managed.journal is not None
-        )
 
     def _governor_rows(self, managed: _ManagedSession) -> list[tuple]:
         cache = managed.session.pool_cache
@@ -1452,7 +1413,7 @@ class SessionManager:
         managed = self._managed(session_id)
         with managed.lock:
             self._check_live(managed, session_id)
-            if self._journaled(managed):
+            if managed.journal is not None:
                 self._check_durability()
                 rollback = _SessionRollback(managed.session)
                 pre_rows = set(self._governor_rows(managed))
@@ -1479,8 +1440,6 @@ class SessionManager:
             shown = managed.session.click(gid)
             managed.clicks += 1
             managed.last_active = time.monotonic()
-            if self.checkpoint_interactions:
-                self._persist(managed)
             return shown
 
     def backtrack(self, session_id: str, step_id: int) -> list[Group]:
@@ -1500,7 +1459,7 @@ class SessionManager:
         managed = self._managed(session_id)
         with managed.lock:
             self._check_live(managed, session_id)
-            if self._journaled(managed):
+            if managed.journal is not None:
                 self._check_durability()
                 rollback = _SessionRollback(managed.session)
                 shown = managed.session.backtrack(step_id)
@@ -1512,8 +1471,6 @@ class SessionManager:
                 return shown
             shown = managed.session.backtrack(step_id)
             managed.last_active = time.monotonic()
-            if self.checkpoint_interactions:
-                self._persist(managed)
             return shown
 
     def displayed(self, session_id: str) -> list[Group]:
@@ -1539,7 +1496,7 @@ class SessionManager:
             self._check_live(managed, session_id)
             managed.last_active = time.monotonic()
             members = managed.session.drill_down(gid)
-            if self._journaled(managed) and not self.degraded:
+            if managed.journal is not None and not self.degraded:
                 # Best-effort event-stream record (a replication feed
                 # wants the full interaction sequence): drill-down
                 # mutates nothing durable, so it is written unsynced and
@@ -1557,6 +1514,7 @@ class SessionManager:
         """One live session's service-visible counters."""
         managed = self._managed(session_id)
         with managed.lock:
+            self._check_live(managed, session_id)
             managed.last_active = time.monotonic()
             session = managed.session
             return {
@@ -1583,7 +1541,7 @@ class SessionManager:
         return self._managed(session_id).token
 
     def session_journal(self, session_id: str) -> Optional[SessionJournal]:
-        """A live session's journal (``None`` outside journal mode)."""
+        """A live session's journal (``None`` without a state_dir)."""
         return self._managed(session_id).journal
 
     def session(self, session_id: str) -> "ExplorationSession":
@@ -1638,7 +1596,7 @@ class SessionManager:
             "sessions_evicted": self.sessions_evicted,
             "sessions_resumed": self.sessions_resumed,
             "durable": self.state_dir is not None,
-            "durability": self.durability,
+            "durability": "journal" if self.state_dir is not None else None,
             "degraded": self.degraded,
             "degraded_reason": self.degraded_reason,
             "compaction_failures": self.compaction_failures,

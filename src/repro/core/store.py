@@ -346,7 +346,7 @@ def save_session_state(
     digests), so a resumed session's next governed click escalates from
     where the persisted one stopped.
 
-    ``journal_seq`` (journal-mode managers) stamps the snapshot with the
+    ``journal_seq`` (the journal's compaction) stamps the snapshot with the
     last interaction sequence number it covers; recovery replays only
     journal records *after* it, which is what makes replay idempotent
     when a crash lands between the snapshot replace and the journal
@@ -364,8 +364,8 @@ def save_session_state(
         # under one space name can never resume under another.
         "space": session.runtime.name,
         # The session's *pinned* epoch digest (cached on the epoch: this
-        # runs per interaction checkpoint and must not re-hash the whole
-        # space on every click).  A session opened before a mutation
+        # runs on every journal compaction and must not re-hash the whole
+        # space each time).  A session opened before a mutation
         # keeps checkpointing its own generation's digest, so resume
         # lands back on that exact retained epoch, not whatever the
         # runtime currently serves.
@@ -415,8 +415,9 @@ def save_session_state(
     }
     if journal_seq is not None:
         payload["journal_seq"] = int(journal_seq)
-    # Durable atomic replace: this runs as a per-interaction checkpoint,
-    # and the crash the whole mechanism exists for can land mid-write.
+    # Durable atomic replace: this runs as the journal's compaction
+    # checkpoint, and the crash the whole mechanism exists for can land
+    # mid-write.
     # A truncated session.json would turn "lost the click in flight"
     # into "lost the session"; staging + fsync + rename + directory
     # fsync keeps the previous checkpoint intact until the new one is
@@ -430,8 +431,9 @@ def save_session_state(
 def load_session_journal_seq(directory: str | Path) -> int:
     """The journal sequence number a persisted snapshot covers.
 
-    ``0`` for snapshots that predate the journal (or were written by a
-    snapshot-mode manager): every journal record replays on top of them.
+    ``0`` for snapshots that predate the journal (or were written by
+    :func:`save_session_state` without a ``journal_seq``): every journal
+    record replays on top of them.
     """
     directory = Path(directory)
     payload = json.loads((directory / "session.json").read_text(encoding="utf-8"))

@@ -220,7 +220,6 @@ class MultiSpaceWorkerPool:
         workers: int = 2,
         tag: Optional[str] = None,
         state_dir: Optional[str | Path] = None,
-        durability: str = "snapshot",
         compact_every: int = 64,
         default_config=None,
         max_sessions: Optional[int] = None,
@@ -252,8 +251,6 @@ class MultiSpaceWorkerPool:
                 "'w<index>-': composed session ids could not be routed "
                 "unambiguously — rename them"
             )
-        if durability == "journal" and state_dir is None:
-            raise ValueError("durability='journal' needs a state_dir")
         if state_dir is None and (
             idle_ttl_s is not None
             or any(d.idle_ttl_s is not None for d in descriptors)
@@ -268,7 +265,6 @@ class MultiSpaceWorkerPool:
         self.tag = tag if tag is not None else "spaces"
         self.n_workers = workers
         self.state_dir = Path(state_dir) if state_dir is not None else None
-        self.durability = durability
         self.compact_every = compact_every
         self.default_config = default_config
         self.max_sessions = max_sessions
@@ -467,7 +463,6 @@ class MultiSpaceWorkerPool:
             "state_dir": (
                 str(self.state_dir) if self.state_dir is not None else None
             ),
-            "durability": self.durability,
             "compact_every": self.compact_every,
             "default_config": self.default_config,
             "max_sessions": self.max_sessions,

@@ -319,7 +319,6 @@ def _worker_entry(spec: dict, ready_conn) -> None:
             max_sessions=spec.get("max_sessions"),
             idle_ttl_s=spec.get("idle_ttl_s"),
             build_workers=1,
-            durability=spec.get("durability", "snapshot"),
             compact_every=spec.get("compact_every", 64),
             id_tag=f"w{worker_index}-",
         )
@@ -376,12 +375,11 @@ def _worker_entry(spec: dict, ready_conn) -> None:
     ready_conn.close()
 
     control.drain_event.wait()
-    # Checkpoint every live session (snapshot or journal-compact, per the
-    # durability mode) so a recycled worker's walks resume
-    # bitwise-identical from the shared state directory, then stop.  The
-    # arena attachments are closed last: mappings with views still live
-    # stay mapped (exit reclaims them), but the close keeps interpreter
-    # shutdown free of finalizer noise.
+    # Compact every live session's journal so a recycled worker's walks
+    # resume bitwise-identical from the shared state directory, then
+    # stop.  The arena attachments are closed last: mappings with views
+    # still live stay mapped (exit reclaims them), but the close keeps
+    # interpreter shutdown free of finalizer noise.
     try:
         registry.drain()
     except Exception:

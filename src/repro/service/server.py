@@ -12,7 +12,7 @@ selection engine doesn't already need:
   HTTP layer can be proven *transparent*: the same scripted trace shows
   bitwise-identical displays through either path;
 - durable sessions: with a state-dir-backed manager every mutation is
-  checkpointed, ``close`` returns a resume token, an idle sweeper evicts
+  journaled, ``close`` returns a resume token, an idle sweeper evicts
   (and persists) abandoned sessions, and ``open`` with ``resume``
   restores a session after a crash or restart.
 

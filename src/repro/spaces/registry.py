@@ -101,6 +101,16 @@ class SpaceBuildError(RuntimeError):
         self.cause = cause
 
 
+#: ``SpaceRegistry(durability=)`` values that contradict ``state_dir``,
+#: keyed ``(durability, has state_dir)``.
+_DURABILITY_REFUSALS = {
+    ("journal", False): "durability='journal' needs a registry state_dir",
+    ("snapshot", True): (
+        "snapshot durability was removed; the journal is the only durable mode"
+    ),
+}
+
+
 class _SpaceEntry:
     """One registered space: descriptor + lifecycle state.
 
@@ -147,8 +157,7 @@ class SpaceRegistry:
         max_sessions: Optional[int] = None,
         idle_ttl_s: Optional[float] = None,
         build_workers: int = 2,
-        checkpoint_interactions: bool = True,
-        durability: str = "snapshot",
+        durability: Optional[str] = None,
         compact_every: int = 64,
         id_tag: str = "",
         obs=None,
@@ -159,12 +168,17 @@ class SpaceRegistry:
             raise ValueError("idle_ttl_s must be > 0")
         if build_workers < 1:
             raise ValueError("build_workers must be >= 1")
-        if durability not in ("snapshot", "journal"):
+        # ``durability`` stays for callers that still pass it (the
+        # service benchmark's server); it is validated, never stored: a
+        # registry with a state_dir journals, one without keeps sessions
+        # in memory.
+        if durability not in (None, "snapshot", "journal"):
             raise ValueError(
                 f"durability must be 'snapshot' or 'journal', got {durability!r}"
             )
-        if durability == "journal" and state_dir is None:
-            raise ValueError("durability='journal' needs a registry state_dir")
+        refusal = _DURABILITY_REFUSALS.get((durability, state_dir is not None))
+        if refusal is not None:
+            raise ValueError(refusal)
         self.max_ready = max_ready
         self.state_dir = Path(state_dir) if state_dir is not None else None
         self.default_config = default_config
@@ -172,13 +186,10 @@ class SpaceRegistry:
         #: Registry-wide idle TTL; a descriptor's own ``idle_ttl_s``
         #: overrides it per space (see :meth:`sweep_idle`).
         self.idle_ttl_s = idle_ttl_s
-        self.checkpoint_interactions = checkpoint_interactions
-        #: Durability mode threaded into every space's manager:
-        #: ``"journal"`` gives each session an append-only interaction
-        #: journal (O(1) durable clicks) with compact-then-evict
+        #: With a ``state_dir`` every space's manager journals each
+        #: session (O(1) durable clicks) with compact-then-evict
         #: semantics — budget/idle eviction folds each session's journal
         #: into its snapshot before the space's runtime is dropped.
-        self.durability = durability
         self.compact_every = compact_every
         #: Deployment tag minted in front of every space's session-id
         #: prefix (ids become ``{id_tag}{space}-s0001``).  The
@@ -409,9 +420,7 @@ class SpaceRegistry:
                 state_dir=(
                     self.state_dir / name if self.state_dir is not None else None
                 ),
-                checkpoint_interactions=self.checkpoint_interactions,
                 id_prefix=f"{self.id_tag}{name}-",
-                durability=self.durability,
                 compact_every=self.compact_every,
                 obs=self.obs,
             )
@@ -635,7 +644,7 @@ class SpaceRegistry:
             "max_ready": self.max_ready,
             "spaces_evicted": self.spaces_evicted,
             "durable": self.state_dir is not None,
-            "durability": self.durability,
+            "durability": "journal" if self.state_dir is not None else None,
             "degraded_spaces": self._degraded_count(),
         }
 
@@ -653,8 +662,8 @@ class SpaceRegistry:
 
         The graceful-shutdown primitive behind ``cli serve``'s
         ``SIGTERM`` handler (and worker recycling in the replication
-        tier): each ready manager persists and deregisters all of its
-        sessions — journal mode compacts them — so every walk resumes
+        tier): each ready manager compacts and deregisters all of its
+        sessions, so every walk resumes
         bitwise-identical after a restart.  Needs a ``state_dir``;
         without one there is nowhere to checkpoint and this is a no-op.
         Returns per-space drained-session counts.

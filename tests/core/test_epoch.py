@@ -219,17 +219,13 @@ class TestSurgicalInvalidation:
 
 
 class TestDurableEpochs:
-    @pytest.mark.parametrize("durability", ["snapshot", "journal"])
-    def test_resume_rebinds_to_the_checkpointed_epoch(
-        self, space, tmp_path, durability
-    ):
+    def test_resume_rebinds_to_the_checkpointed_epoch(self, space, tmp_path):
         base_index = SimilarityIndex(space.memberships(), space.dataset.n_users)
         runtime = GroupSpaceRuntime(space, index=base_index)
         manager = SessionManager(
             runtime,
             default_config=untimed_config(),
             state_dir=tmp_path,
-            durability=durability,
         )
         session_id, shown = manager.open_session()
         shown = manager.click(session_id, shown[0].gid)

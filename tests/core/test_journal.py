@@ -40,9 +40,16 @@ from repro.core.journal import (
     _encode_frame,
     read_journal,
 )
-from repro.core.runtime import GroupSpaceRuntime, SessionManager
+from repro.core.runtime import (
+    GroupSpaceRuntime,
+    SessionManager,
+    scripted_click_gid,
+)
 from repro.core.session import SessionConfig
+from repro.core.store import load_session_state, save_session_state
 from repro.data.generators.dbauthors import DBAuthorsConfig, generate_dbauthors
+from repro.service import ExplorationClient, ExplorationService
+from repro.service.client import ServiceDegraded
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +80,6 @@ def journaled_manager(space, state_dir, compact_every: int = 100):
         runtime,
         default_config=untimed_config(),
         state_dir=state_dir,
-        durability="journal",
         compact_every=compact_every,
     )
 
@@ -302,30 +308,103 @@ class TestJournalDurability:
         assert second.click(resumed_id, shown[0].gid)
 
     def test_journal_and_snapshot_modes_agree(self, space, tmp_path):
-        arms = {}
-        for mode in ("snapshot", "journal"):
-            state_dir = tmp_path / mode
-            runtime = GroupSpaceRuntime(space)
-            manager = SessionManager(
-                runtime,
-                default_config=untimed_config(),
-                state_dir=state_dir,
-                durability=mode,
-                compact_every=3,
-            )
-            session_id, _ = manager.open_session()
-            token = manager.resume_token(session_id)
-            self.drive(manager, session_id, self.N_CLICKS)
+        # A journaled-then-resumed session equals the uninterrupted one
+        # after a plain snapshot save/load round trip.
+        manager = journaled_manager(space, tmp_path / "journal", compact_every=3)
+        session_id, _ = manager.open_session()
+        token = manager.resume_token(session_id)
+        self.drive(manager, session_id, self.N_CLICKS)
+        manager.close(session_id)
+        fresh = journaled_manager(space, tmp_path / "journal")
+        resumed_id, _ = fresh.open_session(resume=token)
+        journaled = session_fingerprint(fresh.session(resumed_id))
+
+        runtime = GroupSpaceRuntime(space)
+        in_memory = SessionManager(runtime, default_config=untimed_config())
+        walk_id, _ = in_memory.open_session()
+        self.drive(in_memory, walk_id, self.N_CLICKS)
+        save_session_state(in_memory.session(walk_id), tmp_path / "snapshot")
+        restored = runtime.create_session(untimed_config())
+        load_session_state(restored, tmp_path / "snapshot")
+        assert journaled == session_fingerprint(restored)
+
+    def test_click_appends_one_record_and_leaves_the_snapshot(
+        self, space, tmp_path
+    ):
+        manager = SessionManager(
+            GroupSpaceRuntime(space),
+            default_config=untimed_config(),
+            state_dir=tmp_path,
+        )
+        session_id, shown = manager.open_session()
+        directory = tmp_path / manager.resume_token(session_id)
+        snapshot = (directory / "session.json").read_bytes()
+        before, _ = read_journal(directory / "journal.log")
+        manager.click(session_id, shown[0].gid)
+        after, torn = read_journal(directory / "journal.log")
+        assert torn == 0
+        assert len(after) == len(before) + 1
+        assert after[-1]["kind"] == "click"
+        assert (directory / "session.json").read_bytes() == snapshot
+
+    def test_snapshot_only_state_resumes_and_starts_a_journal(
+        self, space, tmp_path
+    ):
+        # What an older deployment left on disk: session.json written by
+        # save_session_state, no journal.log beside it.
+        runtime = GroupSpaceRuntime(space)
+        session = runtime.create_session(untimed_config())
+        shown = session.start()
+        visited: set[int] = set()
+        for _ in range(3):
+            shown = session.click(scripted_click_gid(shown, visited))
+        token = "legacy-0001"
+        directory = tmp_path / token
+        save_session_state(session, directory)
+        assert not (directory / "journal.log").exists()
+        expected = session_fingerprint(session)
+
+        manager = journaled_manager(space, tmp_path)
+        resumed_id, restored = manager.open_session(resume=token)
+        assert session_fingerprint(manager.session(resumed_id)) == expected
+        assert [group.gid for group in restored] == expected[0]
+        manager.click(resumed_id, restored[0].gid)
+        records, torn = read_journal(directory / "journal.log")
+        assert torn == 0
+        assert [record["kind"] for record in records] == ["genesis", "click"]
+
+    def test_failed_final_checkpoint_keeps_the_session_live(
+        self, space, tmp_path
+    ):
+        manager = journaled_manager(space, tmp_path)
+        session_id, _ = manager.open_session()
+        faults.install(faults.FaultPlan(fsync_errors=1))
+        with pytest.raises(DurabilityError, match="final checkpoint failed"):
             manager.close(session_id)
-            fresh = SessionManager(
-                GroupSpaceRuntime(space),
-                default_config=untimed_config(),
-                state_dir=state_dir,
-                durability=mode,
-            )
-            resumed_id, _ = fresh.open_session(resume=token)
-            arms[mode] = session_fingerprint(fresh.session(resumed_id))
-        assert arms["journal"] == arms["snapshot"]
+        faults.clear()
+        assert manager.has_session(session_id)
+        assert manager.displayed(session_id)
+        assert manager.degraded
+        assert manager.heal()
+        assert not manager.degraded
+        assert manager.close(session_id)["resume_token"]
+
+    def test_failed_final_checkpoint_is_a_typed_503_over_http(
+        self, space, tmp_path
+    ):
+        manager = journaled_manager(space, tmp_path)
+        with ExplorationService(manager).start() as service:
+            with ExplorationClient(
+                service.host, service.port, degraded_retries=0
+            ) as client:
+                opened = client.open()
+                faults.install(faults.FaultPlan(fsync_errors=1))
+                with pytest.raises(ServiceDegraded) as excinfo:
+                    client.close(opened.session_id)
+                faults.clear()
+                assert excinfo.value.status == 503
+                assert excinfo.value.error_type == "durability_degraded"
+                assert client.displayed(opened.session_id)
 
     def test_compaction_folds_tail_and_rotates(self, space, tmp_path):
         manager = journaled_manager(space, tmp_path, compact_every=3)

@@ -216,6 +216,23 @@ class TestSessionManagerLifecycle:
         with pytest.raises(UnknownSessionError, match=session_id):
             manager.close(session_id)
 
+    def test_stats_request_that_lost_a_race_to_close_is_refused(
+        self, space, monkeypatch
+    ):
+        manager = SessionManager(
+            GroupSpaceRuntime(space), default_config=untimed_config()
+        )
+        session_id, _ = manager.open_session()
+        # The stats request resolved the session just before a racing
+        # close retired it.
+        managed = manager._managed(session_id)
+        manager.close(session_id)
+        monkeypatch.setattr(manager, "_managed", lambda _sid: managed)
+        last_active = managed.last_active
+        with pytest.raises(UnknownSessionError, match=session_id):
+            manager.session_stats(session_id)
+        assert managed.last_active == last_active
+
 
 class TestDurableManager:
     def test_close_resume_round_trip(self, space, tmp_path):

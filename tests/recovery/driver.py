@@ -76,7 +76,6 @@ def main() -> int:
             k=5, time_budget_ms=None, use_profile=False
         ),
         state_dir=args.state_dir,
-        durability="journal",
         compact_every=args.compact_every,
     )
 

@@ -5,7 +5,7 @@ with ``SIGTERM``; the handler checkpoints every live session before the
 process exits 0.  A second server lifetime over the same state
 directory must resume the walk *bitwise-identical* — restored display
 equal to the last pre-drain display, and the continuation equal to an
-uninterrupted oracle — under both durability modes.
+uninterrupted oracle.
 """
 
 import os
@@ -76,7 +76,7 @@ def oracle(store):
     return displays, clicked
 
 
-def start_server(store, state_dir, journal=False, extra=()):
+def start_server(store, state_dir, extra=()):
     data_dir, store_dir = store
     argv = [
         sys.executable, "-m", "repro.cli", "serve", "--http",
@@ -87,9 +87,8 @@ def start_server(store, state_dir, journal=False, extra=()):
         "--state-dir", str(state_dir),
         "--budget-ms", "100000",
         "--port", "0",
+        "--compact-every", "2",
     ]
-    if journal:
-        argv += ["--journal", "--compact-every", "2"]
     argv += list(extra)
     process = subprocess.Popen(
         argv,
@@ -112,14 +111,13 @@ def sigterm_and_collect(process) -> str:
     return output
 
 
-@pytest.mark.parametrize("journal", [False, True], ids=["snapshot", "journal"])
-def test_sigterm_drains_and_resumes_bitwise(store, oracle, tmp_path, journal):
+def test_sigterm_drains_and_resumes_bitwise(store, oracle, tmp_path):
     displays, clicked = oracle
     state_dir = tmp_path / "state"
     state_dir.mkdir()
     config = {"k": 5, "time_budget_ms": None, "use_profile": False}
 
-    process, host, port = start_server(store, state_dir, journal=journal)
+    process, host, port = start_server(store, state_dir)
     try:
         with ExplorationClient(host, port) as client:
             opened = client.open(config=config)
@@ -138,7 +136,7 @@ def test_sigterm_drains_and_resumes_bitwise(store, oracle, tmp_path, journal):
     assert "drained 1 live sessions" in output
     assert "service stopped" in output
 
-    process, host, port = start_server(store, state_dir, journal=journal)
+    process, host, port = start_server(store, state_dir)
     try:
         with ExplorationClient(host, port) as client:
             resumed = client.open(resume=opened.resume_token, config=config)

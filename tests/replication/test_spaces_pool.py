@@ -18,8 +18,8 @@ ones (``-m replication``):
 - **warm boot** — a second pool over the same ``--arena-cache`` dir
   attaches the mmap-restored segments instead of re-running discovery.
 
-Environment knobs (CI matrix): ``REPRO_TEST_WORKERS`` (fleet size,
-default 2), ``REPRO_TEST_DURABILITY`` (``snapshot`` | ``journal``).
+Environment knob (CI matrix): ``REPRO_TEST_WORKERS`` (fleet size,
+default 2).
 """
 
 import os
@@ -42,7 +42,6 @@ pytestmark = pytest.mark.replication
 CLICKS = 3
 TAG = f"spacestest{os.getpid()}"
 WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "2"))
-DURABILITY = os.environ.get("REPRO_TEST_DURABILITY", "snapshot")
 
 _GENERATORS = {
     "authors": {"kind": "dbauthors", "n_authors": 200, "seed": 5},
@@ -106,7 +105,6 @@ def spaces_service(tmp_path_factory):
         workers=WORKERS,
         tag=TAG,
         state_dir=tmp_path_factory.mktemp("spaces-state"),
-        durability=DURABILITY,
         default_config=untimed_config(),
     )
     yield service

@@ -4,7 +4,7 @@ The in-process threaded suite (``tests/core/test_runtime.py``) already
 proves the manager's contracts; these tests re-prove them with real HTTP
 clients on real sockets — N clients × M interleaved clicks against one
 server — because the service adds its own layers (one handler thread per
-connection, JSON round trips, per-interaction checkpoints) that could
+connection, JSON round trips, per-interaction journal appends) that could
 break them independently:
 
 - per-session serialization: concurrent clicks on one session never
@@ -16,16 +16,15 @@ break them independently:
 - durable checkpointing under contention: the persisted state of every
   session is loadable and current after a threaded run.
 
-``REPRO_TEST_DURABILITY=journal`` switches the durable tests to journal
-durability (one fsync'd digest-chained record per interaction, with an
-aggressive compaction cadence so rotation happens *during* contention) —
-CI runs the suite once per mode; the assertions are identical.
+The durable tests journal every interaction (one fsync'd
+digest-chained record each) with an aggressive compaction cadence, so
+rotation happens *during* contention.
 
 ``REPRO_TEST_MUTATION=1`` additionally arms the background-mutator
 stress: a thread publishes store epochs as fast as it can while the N
 clients click, and every client must still see bitwise the displays of
 a quiesced solo run — epoch pinning makes online mutation invisible to
-open sessions, under both durability modes.
+open sessions, journal appends included.
 
 ``REPRO_TEST_WORKERS=N`` (N >= 2) arms the replicated variant: the same
 contended-parity claim re-proven against a real N-worker pool (spawned
@@ -41,6 +40,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.core.discovery import DiscoveryConfig, discover_groups
+from repro.core.journal import read_journal
 from repro.core.runtime import (
     GroupSpaceRuntime,
     SessionManager,
@@ -55,7 +55,6 @@ pytestmark = pytest.mark.concurrency
 
 N_CLIENTS = 6
 N_CLICKS = 4
-DURABILITY = os.environ.get("REPRO_TEST_DURABILITY", "snapshot")
 MUTATION = os.environ.get("REPRO_TEST_MUTATION", "") == "1"
 WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "0") or 0)
 
@@ -198,16 +197,15 @@ class TestMutationUnderContention:
         thread publishes churn epochs as fast as it can while N HTTP
         clients walk their sessions concurrently.  Epoch pinning means
         the mutator must be *invisible*: every display equals the solo
-        quiesced replay, and feedback stays per-session.  Runs under
-        whichever durability mode ``REPRO_TEST_DURABILITY`` selects, so
-        per-click checkpoints/journal appends race the epoch swaps too.
+        quiesced replay, and feedback stays per-session.  The sessions
+        are durable, so per-click journal appends race the epoch swaps
+        too.
         """
         expected_displays, expected_feedback = solo_replay(space, N_CLICKS)
         manager = SessionManager(
             GroupSpaceRuntime(space),
             default_config=untimed_config(),
             state_dir=tmp_path,
-            durability=DURABILITY,
             compact_every=2,
         )
         with ExplorationService(manager).start() as service:
@@ -270,9 +268,8 @@ class TestDurableUnderContention:
             GroupSpaceRuntime(space),
             default_config=untimed_config(),
             state_dir=tmp_path,
-            durability=DURABILITY,
-            # Journal mode: compact every other record so snapshot
-            # rotation races the contended clicks, not just the closes.
+            # Compact every other record so snapshot rotation races the
+            # contended clicks, not just the closes.
             compact_every=2,
         )
         with ExplorationService(manager).start() as service:
@@ -291,16 +288,13 @@ class TestDurableUnderContention:
             load_session_state(restored, tmp_path / summary["resume_token"])
             assert restored.displayed_gids() == displays[-1]
             assert len(restored.history) == 1 + N_CLICKS
-            if DURABILITY == "journal":
-                # The close compacted: a fresh genesis-only journal and
-                # a snapshot stamped with everything it covers.
-                from repro.core.journal import read_journal
-
-                records, torn = read_journal(
-                    tmp_path / summary["resume_token"] / "journal.log"
-                )
-                assert torn == 0
-                assert [r["kind"] for r in records] == ["genesis"]
+            # The close compacted: a fresh genesis-only journal and a
+            # snapshot stamped with everything it covers.
+            records, torn = read_journal(
+                tmp_path / summary["resume_token"] / "journal.log"
+            )
+            assert torn == 0
+            assert [r["kind"] for r in records] == ["genesis"]
 
 
 @pytest.mark.replication
@@ -317,9 +311,9 @@ class TestReplicatedContention:
         The strongest cross-process parity claim: every walk is bitwise
         the quiesced solo run even though the clients are spread over
         ``WORKERS`` spawned replicas serving zero-copy arena views, with
-        per-click checkpoints into a shared state directory under the
-        selected durability mode.  Only displays are compared — the
-        sessions' feedback vectors live in the worker processes.
+        per-click journal appends into a shared state directory.  Only
+        displays are compared — the sessions' feedback vectors live in
+        the worker processes.
         """
         from repro.replication import serve_replicated
 
@@ -332,7 +326,6 @@ class TestReplicatedContention:
             state_dir=tmp_path,
             space_name="conc",
             default_config=untimed_config(),
-            durability=DURABILITY,
         )
         try:
 

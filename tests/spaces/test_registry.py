@@ -387,3 +387,21 @@ class TestIdleSweep:
             SpaceRegistry(
                 [builder_descriptor("a", space_a, index_a, idle_ttl_s=1.0)]
             )
+
+
+class TestDurabilityKeyword:
+    def test_durability_is_validated_never_stored(self, tmp_path):
+        with pytest.raises(ValueError, match="needs a registry state_dir"):
+            SpaceRegistry(durability="journal")
+        with pytest.raises(ValueError, match="snapshot durability was removed"):
+            SpaceRegistry(durability="snapshot", state_dir=tmp_path)
+        with pytest.raises(ValueError, match="durability must be"):
+            SpaceRegistry(durability="fsync")
+        in_memory = SpaceRegistry(durability="snapshot")
+        journaled = SpaceRegistry(durability="journal", state_dir=tmp_path)
+        try:
+            assert in_memory.stats()["durability"] is None
+            assert journaled.stats()["durability"] == "journal"
+        finally:
+            in_memory.shutdown()
+            journaled.shutdown()
