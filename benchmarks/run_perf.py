@@ -43,6 +43,9 @@ the next:
 - ``journal`` — the durable session journal: append cost early vs
   late in a 200-click session (gated flatness) and a resume-by-token
   recovery round trip;
+- ``cold_build`` — per served space (dbauthors, books): median
+  discovery and index-build time of an uncached in-process build, and
+  whether the build reproduces the pinned membership digest (parity);
 - ``index_build`` — batched-lexsort prefix ranking vs the retained
   per-group-loop ranking on the largest generated group space;
 - ``host`` — the machine the numbers came from: cores, Python, NumPy
@@ -116,6 +119,17 @@ SERVICE_OVERHEAD_SMOKE_GATE_MS = 25.0
 #: Smoke runs on shared CI boxes get the service section's looser bar.
 SPACES_OVERHEAD_GATE_MS = 2.0
 SPACES_OVERHEAD_SMOKE_GATE_MS = 25.0
+#: Walks per arm the spaces gate pools (after one warmup walk).
+SPACES_PAIRED_WALKS = 3
+
+#: Membership digests (``space_digest``) of the two served group spaces.
+#: The cold_build section's builds must reproduce them exactly (parity):
+#: a discovery change that reorders gids would strand every durable
+#: session, arena cache and epoch lineage stamped with the old digest.
+PINNED_SPACE_DIGESTS = {
+    "dbauthors": "24fb90c3a571dd9a67a56ef0faac5f2c1ed622fd494010fbfc6e5f2349414841",
+    "books": "9a2783aa81abd459875b6ef96e4d1fcf603f54de401962ebf44cb8a132965f03",
+}
 
 #: Gate on the session journal: the p50 append cost late in a long
 #: session may be at most this multiple of the cost around click 10 —
@@ -585,6 +599,30 @@ def _replay_http(client, clicks: int, config=None) -> tuple[list[float], list[li
     return latencies, displays
 
 
+def _paired_walk(clients, clicks: int) -> tuple[tuple, tuple]:
+    """The scripted walk on two servers at once, alternating click by click.
+
+    The arm that clicks first flips every step, so scheduling drift hits
+    both arms alike.  Returns per-arm click latencies (ms) and per-arm
+    displayed gids.
+    """
+    opened = [client.open() for client in clients]
+    shown = [o.display for o in opened]
+    seen: tuple[set, set] = (set(), set())
+    samples: tuple[list, list] = ([], [])
+    displays: tuple[list, list] = ([], [])
+    for step in range(clicks):
+        for arm in ((0, 1) if step % 2 == 0 else (1, 0)):
+            gid = scripted_click_gid(shown[arm], seen[arm])
+            started = time.perf_counter()
+            shown[arm] = clients[arm].click(opened[arm].session_id, gid)
+            samples[arm].append((time.perf_counter() - started) * 1000.0)
+            displays[arm].append([group.gid for group in shown[arm]])
+    for client, session in zip(clients, opened):
+        client.close(session.session_id)
+    return samples, displays
+
+
 def measure_service(n_clients: int, clicks: int) -> dict:
     """The network front vs the in-process manager on the same replay.
 
@@ -790,8 +828,9 @@ def measure_spaces(clicks: int) -> dict:
 
     Four questions, one report: what does the router cost per click
     (gated overhead — the identical budgeted replay over the same
-    prebuilt index, once through a two-space registry, once through a
-    plain single-space server); what does a *cold* attach cost (an open
+    prebuilt index through a two-space registry and through a plain
+    single-space server, both live, alternating click by click and
+    pooled over several walks); what does a *cold* attach cost (an open
     against a space that only exists as a descriptor: build queued in
     the background, polled to ready) next to a warm routed open; are
     routed displays bitwise the single-space displays (untimed); and
@@ -836,21 +875,31 @@ def measure_spaces(clicks: int) -> dict:
         return SpaceDescriptor(name="coldspace", builder=build)
 
     # Routed vs single-space click latency: identical replay, same index.
+    # Both servers stay up and the arms alternate click by click, so
+    # scheduling drift hits both alike; the walks pool their samples.
     single_manager = SessionManager(
         GroupSpaceRuntime(space, index=base_runtime.index),
         default_config=config,
     )
-    with ExplorationService(single_manager).start() as service:
-        with ExplorationClient(service.host, service.port) as client:
-            single, _ = _replay_http(client, clicks)
-
     registry = SpaceRegistry(
         [primary_descriptor(), cold_descriptor()], default_config=config
     )
-    with ExplorationService(registry=registry).start() as service:
-        with ExplorationClient(service.host, service.port) as client:
+    with ExplorationService(single_manager).start() as single_service, \
+            ExplorationService(registry=registry).start() as service:
+        with ExplorationClient(single_service.host, single_service.port) as \
+                single_client, \
+                ExplorationClient(service.host, service.port) as client:
             client.open_when_ready(space="primary", timeout_s=60.0)
-            routed, _ = _replay_http(client, clicks)  # default space: primary
+            clients = (single_client, client)  # routed default: primary
+            _paired_walk(clients, clicks)  # warmup: both arms hit warm caches
+            single: list[float] = []
+            routed: list[float] = []
+            for _ in range(SPACES_PAIRED_WALKS):
+                (single_samples, routed_samples), _ = _paired_walk(
+                    clients, clicks
+                )
+                single.extend(single_samples)
+                routed.extend(routed_samples)
             warm_opens: list[float] = []
             for _ in range(3):
                 started = time.perf_counter()
@@ -920,6 +969,7 @@ def measure_spaces(clicks: int) -> dict:
 
     return {
         "clicks_per_session": clicks,
+        "paired_walks": SPACES_PAIRED_WALKS,
         "budget_ms": BUDGET_MS,
         "single_space_click_p50_ms": round(single_p50, 3),
         "routed_click_p50_ms": round(routed_p50, 3),
@@ -930,6 +980,54 @@ def measure_spaces(clicks: int) -> dict:
         "parity": parity,
         "evict_resume_roundtrip": resume_ok,
     }
+
+
+def measure_cold_build(names: tuple[str, ...], repeats: int) -> dict:
+    """What a cold start spends building each served group space.
+
+    Per space: the median over ``repeats`` in-process builds of discovery
+    (closed-itemset mining + group construction, an uncached
+    :func:`discover_groups`) and of the index build (a fresh
+    :class:`GroupSpaceRuntime`); data generation is excluded.  Every
+    build must reproduce the pinned membership digest — durable sessions,
+    arena caches and epoch lineage are stamped with it.
+    """
+    from repro.core.discovery import discover_groups
+    from repro.core.store import space_digest
+    from repro.experiments.common import (
+        bookcrossing_data,
+        bookcrossing_discovery,
+        dbauthors_data,
+        dbauthors_discovery,
+    )
+
+    recipes = {
+        "dbauthors": (dbauthors_data, dbauthors_discovery),
+        "books": (bookcrossing_data, bookcrossing_discovery),
+    }
+    report: dict = {}
+    for name in names:
+        data, discovery = recipes[name]
+        dataset, config = data().dataset, discovery()
+        discovery_ms: list[float] = []
+        index_build_ms: list[float] = []
+        digests: set[str] = set()
+        for _ in range(repeats):
+            started = time.perf_counter()
+            space = discover_groups(dataset, config)
+            discovered = time.perf_counter()
+            GroupSpaceRuntime(space)
+            built = time.perf_counter()
+            discovery_ms.append((discovered - started) * 1000.0)
+            index_build_ms.append((built - discovered) * 1000.0)
+            digests.add(space_digest(space.memberships()))
+        report[name] = {
+            "groups": len(space),
+            "discovery_ms": round(statistics.median(discovery_ms), 1),
+            "index_build_ms": round(statistics.median(index_build_ms), 1),
+            "digest_pinned": digests == {PINNED_SPACE_DIGESTS[name]},
+        }
+    return report
 
 
 def measure_index_build(smoke: bool) -> dict:
@@ -1342,7 +1440,8 @@ def measure_replication_spaces(workers: int, clicks: int) -> dict:
     (untimed): the composed walk shows bitwise the solo session's
     displays.
     """
-    from repro.core.discovery import DiscoveryConfig, discover_groups
+    from repro.core.discovery import discover_groups
+    from repro.experiments.common import dbauthors_discovery
     from repro.replication import (
         attach_arena,
         load_arena_cache,
@@ -1392,24 +1491,7 @@ def measure_replication_spaces(workers: int, clicks: int) -> dict:
         ports = (service.port, service.pool.replicas[0].port)
         with ExplorationClient(service.host, ports[0]) as routed, \
                 ExplorationClient(service.host, ports[1]) as direct:
-            clients = (routed, direct)
-            opened = [client.open() for client in clients]
-            shown = [o.display for o in opened]
-            seen: tuple[set, set] = (set(), set())
-            samples: tuple[list, list] = ([], [])
-            displays: tuple[list, list] = ([], [])
-            for step in range(clicks):
-                for arm in ((0, 1) if step % 2 == 0 else (1, 0)):
-                    gid = scripted_click_gid(shown[arm], seen[arm])
-                    started = time.perf_counter()
-                    shown[arm] = clients[arm].click(
-                        opened[arm].session_id, gid
-                    )
-                    samples[arm].append(
-                        (time.perf_counter() - started) * 1000.0
-                    )
-                    displays[arm].append([group.gid for group in shown[arm]])
-        return samples, displays
+            return _paired_walk((routed, direct), clicks)
 
     sweep_orphans(tag)
     sweep_orphans(f"{tag}m")
@@ -1504,12 +1586,7 @@ def measure_replication_spaces(workers: int, clicks: int) -> dict:
         # -- arena-cache warm boot vs cold publish -----------------------
         with tempfile.TemporaryDirectory(prefix="bench-arena-cache-") as cache:
             started = time.perf_counter()
-            cold_space = discover_groups(
-                space.dataset,
-                DiscoveryConfig(
-                    method="lcm", min_support=0.04, max_description=3
-                ),
-            )
+            cold_space = discover_groups(space.dataset, dbauthors_discovery())
             cold_index = SimilarityIndex(
                 [group.members for group in cold_space],
                 cold_space.dataset.n_users,
@@ -1658,6 +1735,13 @@ def run(
     )
     report["journal"] = measure_journal(journal_clicks)
     report["parity"]["journal"] = report["journal"]["recovery_roundtrip"]
+    report["cold_build"] = measure_cold_build(
+        ("dbauthors",) if smoke else ("dbauthors", "books"),
+        repeats=1 if smoke else 3,
+    )
+    report["parity"]["cold_build"] = all(
+        entry["digest_pinned"] for entry in report["cold_build"].values()
+    )
     report["index_build"] = measure_index_build(smoke)
     report["parity"]["index_build"] = report["index_build"]["parity"]
     report["mutation"] = measure_mutation(
@@ -1851,6 +1935,13 @@ def main() -> int:
         f"{'ok' if report['journal']['recovery_roundtrip'] else 'BROKEN'}"
     )
     ok = ok and journal_flatness <= flatness_gate
+    for name, entry in report["cold_build"].items():
+        print(
+            f"cold build: {name} discovery {entry['discovery_ms']:.0f} ms + "
+            f"index build {entry['index_build_ms']:.0f} ms "
+            f"({entry['groups']} groups), pinned digest "
+            f"{'ok' if entry['digest_pinned'] else 'BROKEN'}"
+        )
     build_speedup = report["index_build"]["build_speedup"]
     print(
         f"index build: batched ranking {build_speedup:.1f}x the per-group "

@@ -11,11 +11,15 @@ stays feasible for thousands of groups.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 from scipy import sparse
 
 from repro.core.group import GroupSpace
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def build_group_graph(space: GroupSpace) -> nx.Graph:
@@ -24,6 +28,8 @@ def build_group_graph(space: GroupSpace) -> nx.Graph:
     Nodes are gids (with ``size`` and ``label`` attributes); an edge with
     weight = Jaccard similarity joins every non-disjoint pair.
     """
+    import networkx as nx  # only the offline experiments build G
+
     graph = nx.Graph()
     memberships = space.memberships()
     sizes = np.array([len(members) for members in memberships], dtype=np.float64)
@@ -52,6 +58,8 @@ def build_group_graph(space: GroupSpace) -> nx.Graph:
 
 def navigation_summary(graph: nx.Graph) -> dict[str, float]:
     """Connectivity stats benchmarks report (C6): how walkable is G?"""
+    import networkx as nx
+
     if graph.number_of_nodes() == 0:
         return {
             "nodes": 0,

@@ -56,12 +56,14 @@ def dbauthors_data(seed: int = 11) -> DBAuthorsData:
     return _dbauthors_data(seed)
 
 
+def dbauthors_discovery(min_support: float = 0.04) -> DiscoveryConfig:
+    """The discovery recipe of :func:`dbauthors_space`."""
+    return DiscoveryConfig(method="lcm", min_support=min_support, max_description=3)
+
+
 @lru_cache(maxsize=4)
 def _dbauthors_space(seed: int, min_support: float) -> GroupSpace:
-    return discover_groups(
-        dbauthors_data(seed).dataset,
-        DiscoveryConfig(method="lcm", min_support=min_support, max_description=3),
-    )
+    return discover_groups(dbauthors_data(seed).dataset, dbauthors_discovery(min_support))
 
 
 def dbauthors_space(seed: int = 11, min_support: float = 0.04) -> GroupSpace:
@@ -85,6 +87,18 @@ def bookcrossing_data(
     return _bookcrossing_data(n_users, n_items, n_ratings, seed)
 
 
+def bookcrossing_discovery(
+    min_support: float = BOOKCROSSING_MIN_SUPPORT,
+) -> DiscoveryConfig:
+    """The discovery recipe of :func:`bookcrossing_space`."""
+    return DiscoveryConfig(
+        method="lcm",
+        min_support=min_support,
+        max_description=3,
+        min_item_support=15,
+    )
+
+
 @lru_cache(maxsize=4)
 def _bookcrossing_space(
     n_users: int,
@@ -95,12 +109,7 @@ def _bookcrossing_space(
 ) -> GroupSpace:
     return discover_groups(
         bookcrossing_data(n_users, n_items, n_ratings, seed).dataset,
-        DiscoveryConfig(
-            method="lcm",
-            min_support=min_support,
-            max_description=3,
-            min_item_support=15,
-        ),
+        bookcrossing_discovery(min_support),
     )
 
 

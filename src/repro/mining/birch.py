@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.cluster.hierarchy import fcluster, linkage
 
 
 @dataclass
@@ -243,10 +242,12 @@ class Birch:
         elif self.n_clusters is None or len(centroids) <= self.n_clusters:
             self._subcluster_labels = np.arange(len(centroids), dtype=np.int64)
         else:
-            weights = np.array([feature.n for feature in self.subclusters()])
+            # Imported here: the serving process never clusters, and
+            # scipy.cluster is a heavy import.
+            from scipy.cluster.hierarchy import fcluster, linkage
+
             tree = linkage(centroids, method="ward")
             labels = fcluster(tree, t=self.n_clusters, criterion="maxclust")
-            del weights  # ward on centroids; weights kept for future variants
             self._subcluster_labels = labels.astype(np.int64) - 1
         return self._subcluster_labels
 

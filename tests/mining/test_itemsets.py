@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mining.itemsets import FrequentItemset, TransactionDB, brute_force_closed
 
@@ -51,6 +53,41 @@ class TestTransactionDB:
     def test_frequent_tokens(self, db):
         assert db.frequent_tokens(3) == [0, 2]
         assert db.frequent_tokens(1) == [0, 1, 2]
+
+
+class TestClosureOracle:
+    """``closure`` against a plain set intersection, independent of LCM.
+
+    The LCM property tests compare ``mine_closed`` with
+    ``brute_force_closed``, and both call ``db.closure``; this oracle is
+    what keeps a wrong closure from passing on both sides.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.integers(min_value=0, max_value=9), max_size=7),
+            min_size=1,
+            max_size=16,
+        ),
+        st.data(),
+    )
+    def test_closure_is_set_intersection(self, transactions, data):
+        db = TransactionDB(transactions)
+        tids = sorted(
+            data.draw(
+                st.sets(st.integers(min_value=0, max_value=len(transactions) - 1))
+            )
+        )
+        if tids:
+            expected = set.intersection(*(set(transactions[tid]) for tid in tids))
+        else:
+            # Empty tids close to every token: the top of the lattice.
+            expected = set(range(db.n_tokens))
+        got = db.closure(np.asarray(tids, dtype=np.int64))
+        assert got.tolist() == sorted(expected)
+        for tid in tids:
+            assert db.transaction(tid).tolist() == sorted(set(transactions[tid]))
 
 
 class TestBruteForce:

@@ -88,6 +88,40 @@ class TestLCMProperties:
             (c.items, c.support) for c in expected
         ]
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        transactions_strategy,
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=4),
+    )
+    def test_max_items_keeps_every_short_closed_set(
+        self, transactions, min_support, max_items
+    ):
+        # A ppc child always has more items than its parent, so skipping
+        # an over-long subtree never drops a short closed set.
+        db = TransactionDB(transactions)
+        got = mine_closed(db, LCMConfig(min_support=min_support, max_items=max_items))
+        expected = [
+            c for c in brute_force_closed(db, min_support) if len(c.items) <= max_items
+        ]
+        assert [(c.items, c.support) for c in got] == [
+            (c.items, c.support) for c in expected
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(transactions_strategy, st.integers(min_value=1, max_value=4))
+    def test_stats_account_for_every_extension(self, transactions, min_support):
+        # Uncapped, every tried extension is rejected for support, rejected
+        # by the ppc check, or becomes a closed node (all but the root).
+        stats = LCMStats()
+        db = TransactionDB(transactions)
+        closed = mine_closed(db, LCMConfig(min_support=min_support, stats=stats))
+        assert stats.closed_found == len(closed)
+        if closed:
+            assert stats.extensions_tried == (
+                stats.support_rejections + stats.ppc_rejections + stats.closed_found - 1
+            )
+
     @settings(max_examples=40, deadline=None)
     @given(transactions_strategy)
     def test_all_outputs_are_closed(self, transactions):
